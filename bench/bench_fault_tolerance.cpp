@@ -8,12 +8,11 @@
 // cost of work reassignment: adopted program slots and the share of
 // slot-work the survivors absorbed.
 //
-// Every trial owns its Machine (a faulted graph carries a mutable liveness
-// mask and must not be shared across concurrent trials): the base
-// MachineSpec carries the fault fractions, and stamping the trial seed into
-// the spec derives plan and emulator stream together — one seed names one
-// exact degraded history, as before the Machine API. The fault-free twin
-// is the same spec with the faults knob cleared.
+// Each scenario builds its degraded Machine once (the base MachineSpec
+// carries the fault fractions) and shares it across trials: a run derives
+// plan and emulator stream together from its trial seed, so one seed names
+// one exact degraded history. The fault-free twin is the same spec with
+// the faults knob cleared.
 
 #include <algorithm>
 #include <memory>
@@ -63,21 +62,34 @@ struct FaultOutcome {
   bool complete = false;
 };
 
+/// A scenario's degraded machine and its fault-free twin, shared by every
+/// trial.
+struct FaultTwins {
+  explicit FaultTwins(const machine::MachineSpec& base)
+      : degraded(machine::Machine::build(base)),
+        pristine(machine::Machine::build([&] {
+          machine::MachineSpec spec = base;
+          spec.faults = machine::FaultKnobs{};
+          return spec;
+        }())) {}
+  machine::Machine degraded;
+  machine::Machine pristine;
+};
+
 /// Degraded run + fault-free twin of the same seed -> one FaultOutcome.
 template <typename MakeProgram>
-FaultOutcome fault_trial(const machine::MachineSpec& base, std::uint64_t seed,
+FaultOutcome fault_trial(const FaultTwins& twins, std::uint64_t seed,
                          MakeProgram make_program) {
-  machine::MachineSpec degraded_spec = base;
-  degraded_spec.seed = seed;
-  machine::Machine degraded = machine::Machine::build(degraded_spec);
+  const machine::Machine& degraded = twins.degraded;
+  pram::SharedMemory memory;
   const auto program = make_program(degraded.processors(), seed);
-  const emulation::EmulationReport faulty = degraded.run(*program);
+  const emulation::EmulationReport faulty =
+      degraded.run_seeded(seed, *program, memory);
 
-  machine::MachineSpec pristine_spec = degraded_spec;
-  pristine_spec.faults = machine::FaultKnobs{};  // empty plan: inert
-  machine::Machine pristine = machine::Machine::build(pristine_spec);
-  const auto baseline_program = make_program(pristine.processors(), seed);
-  const emulation::EmulationReport clean = pristine.run(*baseline_program);
+  pram::SharedMemory clean_memory;
+  const auto baseline_program = make_program(degraded.processors(), seed);
+  const emulation::EmulationReport clean =
+      twins.pristine.run_seeded(seed, *baseline_program, clean_memory);
 
   FaultOutcome outcome;
   outcome.complete = faulty.complete;
@@ -185,8 +197,10 @@ constexpr char kLinksTitle[] =
                   "star:" + std::to_string(n),
                   static_cast<double>(ctx.arg(1)) / 100.0, 0.0, 0.0,
                   sim::QueueDiscipline::kFifo, false);
+              const FaultTwins twins(base);
+
               const auto outcomes = ctx.collect([&](std::uint64_t seed) {
-                return fault_trial(base, seed, permutation_program);
+                return fault_trial(twins, seed, permutation_program);
               });
               fault_row(ctx, kLinksTitle,
                         {"star(n=" + std::to_string(n) + ")",
@@ -210,8 +224,10 @@ constexpr char kLinksTitle[] =
                   "nshuffle:" + std::to_string(n),
                   static_cast<double>(ctx.arg(1)) / 100.0, 0.0, 0.0,
                   sim::QueueDiscipline::kFifo, false);
+              const FaultTwins twins(base);
+
               const auto outcomes = ctx.collect([&](std::uint64_t seed) {
-                return fault_trial(base, seed, permutation_program);
+                return fault_trial(twins, seed, permutation_program);
               });
               fault_row(ctx, kLinksTitle,
                         {"shuffle(n=" + std::to_string(n) + ")",
@@ -235,8 +251,10 @@ constexpr char kLinksTitle[] =
                   "star:" + std::to_string(n), 0.0, 0.0,
                   static_cast<double>(ctx.arg(1)) / 100.0,
                   sim::QueueDiscipline::kFifo, false);
+              const FaultTwins twins(base);
+
               const auto outcomes = ctx.collect([&](std::uint64_t seed) {
-                return fault_trial(base, seed, permutation_program);
+                return fault_trial(twins, seed, permutation_program);
               });
               fault_row(ctx,
                         "F2: EREW permutation emulation under dead modules",
@@ -262,8 +280,10 @@ constexpr char kLinksTitle[] =
                   "butterfly:" + std::to_string(levels), 0.05,
                   static_cast<double>(ctx.arg(1)) / 100.0, 0.0,
                   sim::QueueDiscipline::kFifo, false);
+              const FaultTwins twins(base);
+
               const auto outcomes = ctx.collect([&](std::uint64_t seed) {
-                return fault_trial(base, seed, permutation_program);
+                return fault_trial(twins, seed, permutation_program);
               });
               fault_row(ctx,
                         "F3: EREW permutation emulation under dead switches",
@@ -292,8 +312,10 @@ constexpr char kLinksTitle[] =
                   "star:" + std::to_string(n),
                   static_cast<double>(ctx.arg(1)) / 100.0, 0.0, 0.0,
                   discipline, false);
+              const FaultTwins twins(base);
+
               const auto outcomes = ctx.collect([&](std::uint64_t seed) {
-                return fault_trial(base, seed, permutation_program);
+                return fault_trial(twins, seed, permutation_program);
               });
               fault_row(ctx, "F4: queue discipline under dead links",
                         {"star(n=" + std::to_string(n) + ")",
@@ -318,9 +340,11 @@ constexpr char kLinksTitle[] =
                   "star:" + std::to_string(n),
                   static_cast<double>(ctx.arg(1)) / 100.0, 0.0, 0.0,
                   sim::QueueDiscipline::kFifo, true);
+              const FaultTwins twins(base);
+
               const auto outcomes = ctx.collect([&](std::uint64_t seed) {
                 return fault_trial(
-                    base, seed,
+                    twins, seed,
                     [](std::uint32_t procs, std::uint64_t)
                         -> std::unique_ptr<pram::PramProgram> {
                       return std::make_unique<pram::HotSpotReadTraffic>(
@@ -355,8 +379,10 @@ constexpr char kProcsTitle[] =
                   "star:" + std::to_string(n), 0.0, 0.0, 0.0,
                   sim::QueueDiscipline::kFifo, false,
                   static_cast<double>(ctx.arg(1)) / 100.0);
+              const FaultTwins twins(base);
+
               const auto outcomes = ctx.collect([&](std::uint64_t seed) {
-                return fault_trial(base, seed, permutation_program);
+                return fault_trial(twins, seed, permutation_program);
               });
               proc_fault_row(ctx, kProcsTitle,
                              {"star(n=" + std::to_string(n) + ")",
@@ -382,8 +408,10 @@ constexpr char kProcsTitle[] =
                   "nshuffle:" + std::to_string(n), 0.0, 0.0, 0.0,
                   sim::QueueDiscipline::kFifo, false,
                   static_cast<double>(ctx.arg(1)) / 100.0);
+              const FaultTwins twins(base);
+
               const auto outcomes = ctx.collect([&](std::uint64_t seed) {
-                return fault_trial(base, seed, permutation_program);
+                return fault_trial(twins, seed, permutation_program);
               });
               proc_fault_row(ctx, kProcsTitle,
                              {"shuffle(n=" + std::to_string(n) + ")",
@@ -410,8 +438,10 @@ constexpr char kProcsTitle[] =
                   "butterfly:" + std::to_string(levels), 0.05, 0.0, 0.0,
                   sim::QueueDiscipline::kFifo, false,
                   static_cast<double>(ctx.arg(1)) / 100.0);
+              const FaultTwins twins(base);
+
               const auto outcomes = ctx.collect([&](std::uint64_t seed) {
-                return fault_trial(base, seed, permutation_program);
+                return fault_trial(twins, seed, permutation_program);
               });
               proc_fault_row(ctx,
                              "F7: processor faults on the butterfly "
@@ -441,8 +471,10 @@ constexpr char kProcsTitle[] =
                   sim::QueueDiscipline::kFifo, false,
                   static_cast<double>(ctx.arg(1)) / 100.0);
               base.faults.onset_epochs = kPramSteps;
+              const FaultTwins twins(base);
+
               const auto outcomes = ctx.collect([&](std::uint64_t seed) {
-                return fault_trial(base, seed, permutation_program);
+                return fault_trial(twins, seed, permutation_program);
               });
               proc_fault_row(ctx,
                              "F8: mid-run processor deaths "

@@ -21,11 +21,10 @@ constexpr std::uint32_t kMaxPramSteps = 1U << 24;
 
 NetworkEmulator::NetworkEmulator(const EmulationFabric& fabric,
                                  EmulatorConfig config)
-    : fabric_(fabric), config_(config), rng_(config.seed) {
-  LEVNET_CHECK_MSG(config_.faults == nullptr ||
-                       &config_.faults->graph() == &fabric.graph(),
-                   "fault injector must be bound to the fabric's graph");
-}
+    : fabric_(fabric),
+      config_(config),
+      live_(config.faults != nullptr ? &config.faults->liveness() : nullptr),
+      rng_(config.seed) {}
 
 NetworkEmulator::~NetworkEmulator() = default;
 
@@ -83,7 +82,7 @@ EmulationReport NetworkEmulator::run(pram::PramProgram& program,
           : 0;
   engine_config.max_steps = base_budget;
   engine_ = std::make_unique<sim::SyncEngine>(fabric_.graph(), *this,
-                                              engine_config);
+                                              engine_config, live_);
 
   EmulationReport report;
   std::vector<MemOp> ops(procs);
@@ -196,7 +195,7 @@ EmulationReport NetworkEmulator::run(pram::PramProgram& program,
         packet.proc = p;
         packet.src = proc_node;
         packet.dst = module_node;
-        fabric_.router().prepare(packet, rng_);
+        fabric_.router().prepare(packet, rng_, live_);
         ++requests_this_step;
         engine_->inject(std::move(packet), proc_node, rng_);
       }
@@ -343,7 +342,7 @@ bool NetworkEmulator::route_concurrent(sim::Packet& p, NodeId at,
   // an identical substream. Everything else is exactly the non-combining
   // on_packet forward: one next_hop against the immutable router.
   if (at == p.dst) return false;
-  const NodeId next = fabric_.router().next_hop(p, at, rng);
+  const NodeId next = fabric_.router().next_hop(p, at, rng, live_);
   // Routers only report "arrived" at p.dst (terminal states are sticky),
   // so this cannot fire; the guard keeps a misbehaving router on the
   // serial diagnostic path instead of committing a half-made decision.
@@ -360,12 +359,12 @@ NodeId NetworkEmulator::on_fault(sim::Packet& p, NodeId at, NodeId blocked,
   // Uniformly random surviving out-link of `at` — the degraded analogue of
   // phase 1's random link choice, so repeated detours around one obstacle
   // spread over distinct survivors instead of hammering one.
-  const NodeId next = fabric_.graph().random_live_neighbor(at, rng);
+  const NodeId next = live_->random_live_neighbor(at, rng);
   if (next == topology::kInvalidNode) return next;  // cut off: drop
   // Re-aim the journey to resume from the detour target. Position-based
   // routers restart greedily from there; the butterfly router switches to
   // its recovery phase (Router::reroute).
-  fabric_.router().reroute(p, next, rng);
+  fabric_.router().reroute(p, next, rng, live_);
   return next;
 }
 
@@ -405,7 +404,7 @@ void NetworkEmulator::handle_request(Packet& p, NodeId at, support::Rng& rng,
       return;  // absorbed into a queued same-address request
     }
   }
-  const NodeId next = fabric_.router().next_hop(p, at, rng);
+  const NodeId next = fabric_.router().next_hop(p, at, rng, live_);
   if (next != topology::kInvalidNode) {
     out.push_back(sim::Forward{next, p.route_state});
     return;
@@ -435,8 +434,8 @@ void NetworkEmulator::serve_at_module(Packet& p, NodeId at, support::Rng& rng,
   // The reply targets the slot's executor — the adopting survivor when the
   // issuing processor is dead (it sent the request from there too).
   p.dst = host_node(p.proc);
-  fabric_.router().prepare(p, rng);
-  const NodeId next = fabric_.router().next_hop(p, at, rng);
+  fabric_.router().prepare(p, rng, live_);
+  const NodeId next = fabric_.router().next_hop(p, at, rng, live_);
   if (next == topology::kInvalidNode) {
     deliver_read(p.proc, value);
     return;
@@ -447,7 +446,7 @@ void NetworkEmulator::serve_at_module(Packet& p, NodeId at, support::Rng& rng,
 void NetworkEmulator::handle_reply_plain(Packet& p, NodeId at,
                                          support::Rng& rng,
                                          std::vector<sim::Forward>& out) {
-  const NodeId next = fabric_.router().next_hop(p, at, rng);
+  const NodeId next = fabric_.router().next_hop(p, at, rng, live_);
   if (next == topology::kInvalidNode) {
     LEVNET_DCHECK(at == p.dst);
     deliver_read(p.proc, p.value);

@@ -78,10 +78,10 @@ struct EmulatorConfig {
   /// across values (golden-equivalence suite).
   std::uint32_t step_threads = 1;
   std::uint64_t seed = 0x1991'06ULL;
-  /// Degraded-mode emulation: an injector bound to the fabric's graph (the
-  /// caller owns graph mutability; see faults/injector.hpp). The emulator
-  /// advances the fault plan one epoch per PRAM step, routes around dead
-  /// links/nodes via detours, remaps dead memory modules through the
+  /// Degraded-mode emulation: the run's injector over the fabric's graph
+  /// (faults/injector.hpp). The emulator advances the fault plan one epoch
+  /// per PRAM step, routes around dead links/nodes via detours (reading
+  /// the injector's mask), remaps dead memory modules through the
   /// survivor remap (composed with the hash, so the existing rehash path
   /// still applies), and executes dead processors' program slots at their
   /// adopting survivors (FaultInjector::adopt_proc). Node faults must not
@@ -271,6 +271,9 @@ class NetworkEmulator final : public sim::TrafficHandler {
 
   const EmulationFabric& fabric_;
   EmulatorConfig config_;
+  /// The injector's mask (null without one), handed to the engine and to
+  /// every router call.
+  const topology::Liveness* live_;
   pram::WritePolicy policy_ = pram::WritePolicy::kCommon;
   support::Rng rng_;
   std::unique_ptr<hashing::PolynomialHash> hash_;

@@ -4,9 +4,9 @@
 
 namespace levnet::faults {
 
-FaultInjector::FaultInjector(topology::Graph& graph, std::uint32_t modules,
-                             const FaultPlan& plan)
-    : graph_(&graph),
+FaultInjector::FaultInjector(const topology::Graph& graph,
+                             std::uint32_t modules, const FaultPlan& plan)
+    : live_(graph),
       plan_(&plan),
       module_live_(modules, 1),
       // Processors and modules are co-located one per endpoint fabric-wide,
@@ -35,7 +35,7 @@ FaultInjector::FaultInjector(topology::Graph& graph, std::uint32_t modules,
 }
 
 void FaultInjector::reset() {
-  graph_->revive_all();
+  live_.revive_all();
   module_live_.assign(module_live_.size(), 1);
   proc_live_.assign(proc_live_.size(), 1);
   remap_ = hashing::ExclusionRemap{};
@@ -55,15 +55,15 @@ FaultInjector::Applied FaultInjector::advance_to(std::uint32_t epoch) {
         // Only effective kills count: a link can already be dead when an
         // earlier node event took its endpoint (sampling overlap), and
         // the dead_* snapshot must describe distinct disabled components.
-        if (graph_->edge_live(event.id)) {
-          graph_->kill_link(event.id);
+        if (live_.edge_live(event.id)) {
+          live_.kill_link(event.id);
           ++dead_links_;
           ++applied.links;
         }
         break;
       case FaultKind::kNode:
-        if (graph_->node_live(event.id)) {
-          graph_->kill_node(event.id);
+        if (live_.node_live(event.id)) {
+          live_.kill_node(event.id);
           ++dead_nodes_;
           ++applied.nodes;
         }
@@ -83,7 +83,7 @@ FaultInjector::Applied FaultInjector::advance_to(std::uint32_t epoch) {
         if (proc_live_[event.id] != 0) {
           proc_live_[event.id] = 0;
           ++applied.procs;
-          if (graph_->node_live(event.id)) graph_->kill_node(event.id);
+          if (live_.node_live(event.id)) live_.kill_node(event.id);
           if (module_live_[event.id] != 0) {
             module_live_[event.id] = 0;
             ++applied.modules;

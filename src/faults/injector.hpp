@@ -1,21 +1,19 @@
 #pragma once
-// FaultInjector: applies a FaultPlan onto a live topology, epoch by epoch.
+// FaultInjector: applies a FaultPlan to one run, epoch by epoch.
 //
-// The injector owns the mutable view of degradation: it flips the graph's
-// liveness mask for link/node events, tracks memory-module and processor
-// liveness, and keeps the survivor remaps (hashing::ExclusionRemap)
-// current so that remap(h(addr)) never lands on a dead module and
-// adopt_proc(p) never names a dead processor. A processor event is the
+// The injector owns all of a run's degradation state: the liveness mask
+// of dead links and nodes (topology::Liveness, laid over the shared,
+// immutable graph), memory-module and processor liveness, and the survivor
+// remaps (hashing::ExclusionRemap) that keep remap(h(addr)) off dead
+// modules and adopt_proc(p) off dead processors. A processor event is the
 // compound fault: its endpoint node dies (all incident links), its
 // co-located memory module dies, and its program slot is adopted by a
-// seed-derived survivor. One injector serves one
-// run on one graph instance — it mutates the graph, so a faulted graph
-// must not be shared across concurrent trials (construct topology + plan +
-// injector per seed inside the trial body; see analysis/trials.hpp).
+// seed-derived survivor. One injector serves one run; concurrent runs on
+// the same machine each build their own (machine::Machine::run_seeded).
 //
 // Epochs are abstract: the emulator calls advance_to(pram_step) before
 // each PRAM step, a routing harness may advance per network step. reset()
-// rewinds everything (graph revived, modules revived, cursor at 0) so the
+// rewinds everything (mask cleared, modules revived, cursor at 0) so the
 // same injector can replay the plan for a fresh run.
 
 #include <cstdint>
@@ -23,15 +21,16 @@
 #include "faults/plan.hpp"
 #include "hashing/exclusion.hpp"
 #include "topology/graph.hpp"
+#include "topology/liveness.hpp"
 
 namespace levnet::faults {
 
 class FaultInjector {
  public:
-  /// Binds plan to a graph and a module space. The plan must outlive the
-  /// injector. The survivor-remap salt is derived from the plan seed, so
-  /// the whole degradation is one-seed deterministic.
-  FaultInjector(topology::Graph& graph, std::uint32_t modules,
+  /// Binds plan to a graph and a module space. The graph and the plan
+  /// must outlive the injector. The survivor-remap salt is derived from
+  /// the plan seed, so the whole degradation is one-seed deterministic.
+  FaultInjector(const topology::Graph& graph, std::uint32_t modules,
                 const FaultPlan& plan);
 
   /// What advance_to just changed; module changes require a remap/rehash,
@@ -85,10 +84,13 @@ class FaultInjector {
   }
 
   [[nodiscard]] const FaultPlan& plan() const noexcept { return *plan_; }
-  [[nodiscard]] topology::Graph& graph() noexcept { return *graph_; }
+  /// The run's dead links and nodes so far.
+  [[nodiscard]] const topology::Liveness& liveness() const noexcept {
+    return live_;
+  }
 
  private:
-  topology::Graph* graph_;
+  topology::Liveness live_;
   const FaultPlan* plan_;
   std::vector<std::uint8_t> module_live_;
   std::vector<std::uint8_t> proc_live_;

@@ -4,20 +4,20 @@
 
 #include "support/check.hpp"
 #include "support/rng.hpp"
+#include "topology/liveness.hpp"
 
 namespace levnet::faults {
 
 namespace {
 
 /// Scratch degraded graph used only while sampling: the plan must not
-/// mutate the real graph, but connectivity screening needs to look at the
-/// network as it will be once every accepted kill has landed.
+/// touch the real graph, but connectivity screening needs to look at the
+/// network as it will be once every accepted kill has landed. The mask is
+/// the same topology::Liveness a run's injector applies the plan to; the
+/// sampler only adds undo for rejected candidates.
 struct Scratch {
   explicit Scratch(const topology::Graph& g)
-      : graph(&g),
-        edge_live(g.edge_count(), 1),
-        node_live(g.node_count(), 1),
-        bfs_seen(g.node_count(), 0) {
+      : graph(&g), live(g), bfs_seen(g.node_count(), 0) {
     // Symmetric graphs (every edge paired with its reverse, which
     // kill_link/kill_node preserve) only need one forward BFS: reach-from
     // implies reach-to. With unpaired one-way edges that implication
@@ -35,35 +35,6 @@ struct Scratch {
         in_edges[g.edge_head(e)].push_back(e);
       }
     }
-  }
-
-  void kill_link(EdgeId e) {
-    edge_live[e] = 0;
-    const EdgeId rev = graph->reverse_edge(e);
-    if (rev != topology::kInvalidEdge) edge_live[rev] = 0;
-  }
-
-  void revive_link(EdgeId e) {
-    edge_live[e] = 1;
-    const EdgeId rev = graph->reverse_edge(e);
-    if (rev != topology::kInvalidEdge) edge_live[rev] = 1;
-  }
-
-  void kill_node(NodeId v, std::vector<EdgeId>& killed_edges) {
-    killed_edges.clear();
-    node_live[v] = 0;
-    for (EdgeId e = 0; e < graph->edge_count(); ++e) {
-      if ((graph->edge_tail(e) == v || graph->edge_head(e) == v) &&
-          edge_live[e] != 0) {
-        edge_live[e] = 0;
-        killed_edges.push_back(e);
-      }
-    }
-  }
-
-  void revive_node(NodeId v, const std::vector<EdgeId>& killed_edges) {
-    node_live[v] = 1;
-    for (const EdgeId e : killed_edges) edge_live[e] = 1;
   }
 
   /// BFS from `root` over live edges and nodes; `backward` walks the
@@ -86,7 +57,7 @@ struct Scratch {
     while (head < bfs_queue.size()) {
       const NodeId u = bfs_queue[head++];
       const auto visit = [&](EdgeId e, NodeId v) {
-        if (edge_live[e] == 0 || node_live[v] == 0 ||
+        if (!live.edge_live(e) || !live.node_live(v) ||
             bfs_seen[v] == bfs_stamp) {
           return;
         }
@@ -115,21 +86,21 @@ struct Scratch {
   /// graphs need only the forward pass.
   [[nodiscard]] bool endpoints_connected(std::uint32_t endpoints) {
     NodeId root = topology::kInvalidNode;
-    std::uint32_t live = 0;
+    std::uint32_t survivors = 0;
     for (NodeId v = 0; v < endpoints; ++v) {
-      if (node_live[v] != 0) {
+      if (live.node_live(v)) {
         if (root == topology::kInvalidNode) root = v;
-        ++live;
+        ++survivors;
       }
     }
-    if (live <= 1) return true;
-    if (!endpoints_reachable(endpoints, live, root, false)) return false;
-    return !asymmetric || endpoints_reachable(endpoints, live, root, true);
+    if (survivors <= 1) return true;
+    if (!endpoints_reachable(endpoints, survivors, root, false)) return false;
+    return !asymmetric ||
+           endpoints_reachable(endpoints, survivors, root, true);
   }
 
   const topology::Graph* graph;
-  std::vector<std::uint8_t> edge_live;
-  std::vector<std::uint8_t> node_live;
+  topology::Liveness live;
   bool asymmetric = false;
   std::vector<std::vector<EdgeId>> in_edges;  // built only when asymmetric
   std::vector<NodeId> bfs_queue;
@@ -150,12 +121,23 @@ FaultPlan FaultPlan::sample(const topology::Graph& graph,
                             std::uint32_t endpoints, std::uint32_t modules,
                             const FaultSpec& spec, std::uint64_t seed) {
   FaultPlan plan;
+  std::string error;
+  LEVNET_CHECK_MSG(sample(graph, endpoints, modules, spec, seed, plan, error),
+                   error);
+  return plan;
+}
+
+bool FaultPlan::sample(const topology::Graph& graph, std::uint32_t endpoints,
+                       std::uint32_t modules, const FaultSpec& spec,
+                       std::uint64_t seed, FaultPlan& plan,
+                       std::string& error) {
+  plan = FaultPlan{};
   plan.seed_ = seed;
   if (spec.link_fraction == 0.0 && spec.node_fraction == 0.0 &&
       spec.module_fraction == 0.0 && spec.proc_fraction == 0.0) {
     // Nothing to sample: skip the candidate shuffles and scratch arrays
     // entirely (fault-free twins in A/B benches take this path per seed).
-    return plan;
+    return true;
   }
   // Decorrelate from the emulator/router streams that share the same
   // user-facing seed.
@@ -163,6 +145,10 @@ FaultPlan FaultPlan::sample(const topology::Graph& graph,
   support::Rng rng(support::splitmix64(mix));
 
   Scratch scratch(graph);
+  const auto fail = [&error](const char* why) {
+    error = std::string("FaultPlan::sample: ") + why;
+    return false;
+  };
   const auto draw_epoch = [&]() -> std::uint32_t {
     return spec.onset_epochs <= 1
                ? 0
@@ -189,21 +175,23 @@ FaultPlan FaultPlan::sample(const topology::Graph& graph,
     std::vector<EdgeId> proc_edges;
     for (const NodeId p : procs) {
       if (proc_dead == proc_target) break;
-      scratch.kill_node(p, proc_edges);
+      proc_edges.clear();
+      scratch.live.kill_node(p, &proc_edges);
       if (spec.preserve_connectivity &&
           !scratch.endpoints_connected(endpoints)) {
-        scratch.revive_node(p, proc_edges);
+        scratch.live.revive_node(p, proc_edges);
         ++plan.skipped_;
         continue;
       }
       plan.events_.push_back({FaultKind::kProc, p, draw_epoch()});
       ++proc_dead;
     }
-    LEVNET_CHECK_MSG(
-        proc_dead == proc_target,
-        "FaultPlan::sample: procs= fraction unsatisfiable — every remaining "
-        "processor kill would disconnect the survivor endpoints (lower "
-        "procs= or set allow-cut=1)");
+    if (proc_dead != proc_target) {
+      return fail(
+          "procs= fraction unsatisfiable — every remaining processor kill "
+          "would disconnect the survivor endpoints (lower procs= or set "
+          "allow-cut=1)");
+    }
   }
 
   // Links: one candidate per physical link (the lower-id directed edge of
@@ -223,11 +211,11 @@ FaultPlan FaultPlan::sample(const topology::Graph& graph,
   std::uint32_t accepted = 0;
   for (const EdgeId e : links) {
     if (accepted == link_target) break;
-    if (scratch.edge_live[e] == 0) continue;
-    scratch.kill_link(e);
+    if (!scratch.live.edge_live(e)) continue;
+    scratch.live.kill_link(e);
     if (spec.preserve_connectivity &&
         !scratch.endpoints_connected(endpoints)) {
-      scratch.revive_link(e);
+      scratch.live.revive_link(e);
       ++plan.skipped_;
       continue;
     }
@@ -237,11 +225,12 @@ FaultPlan FaultPlan::sample(const topology::Graph& graph,
   // Link-only plans have always under-filled silently when the guard
   // rejects everything (pinned behavior); under procs= the combination is
   // a configuration error, named instead of silently shrunk.
-  LEVNET_CHECK_MSG(
-      spec.proc_fraction == 0.0 || accepted == link_target,
-      "FaultPlan::sample: procs= and links= jointly unsatisfiable — after "
-      "the processor kills, the connectivity guard rejected every remaining "
-      "link candidate (lower links=/procs= or set allow-cut=1)");
+  if (spec.proc_fraction != 0.0 && accepted != link_target) {
+    return fail("procs= and links= jointly unsatisfiable — after the "
+                "processor kills, the connectivity guard rejected every "
+                "remaining link candidate (lower links=/procs= or set "
+                "allow-cut=1)");
+  }
 
   // Nodes: endpoints host processors; *node* faults never touch them
   // (processor kills are the explicit procs= axis above).
@@ -254,21 +243,23 @@ FaultPlan FaultPlan::sample(const topology::Graph& graph,
   std::vector<EdgeId> killed_edges;
   for (const NodeId v : nodes) {
     if (accepted == node_target) break;
-    scratch.kill_node(v, killed_edges);
+    killed_edges.clear();
+    scratch.live.kill_node(v, &killed_edges);
     if (spec.preserve_connectivity &&
         !scratch.endpoints_connected(endpoints)) {
-      scratch.revive_node(v, killed_edges);
+      scratch.live.revive_node(v, killed_edges);
       ++plan.skipped_;
       continue;
     }
     plan.events_.push_back({FaultKind::kNode, v, draw_epoch()});
     ++accepted;
   }
-  LEVNET_CHECK_MSG(
-      spec.proc_fraction == 0.0 || accepted == node_target,
-      "FaultPlan::sample: procs= and nodes= jointly unsatisfiable — after "
-      "the processor kills, the connectivity guard rejected every remaining "
-      "node candidate (lower nodes=/procs= or set allow-cut=1)");
+  if (spec.proc_fraction != 0.0 && accepted != node_target) {
+    return fail("procs= and nodes= jointly unsatisfiable — after the "
+                "processor kills, the connectivity guard rejected every "
+                "remaining node candidate (lower nodes=/procs= or set "
+                "allow-cut=1)");
+  }
 
   // Modules: no connectivity interplay, but at least one must survive.
   // Modules co-located with a dead processor die with it (the injector
@@ -288,7 +279,7 @@ FaultPlan FaultPlan::sample(const topology::Graph& graph,
   accepted = 0;
   for (const std::uint32_t m : mods) {
     if (accepted == module_target) break;
-    if (m < endpoints && scratch.node_live[m] == 0) continue;
+    if (m < endpoints && !scratch.live.node_live(m)) continue;
     plan.events_.push_back({FaultKind::kModule, m, draw_epoch()});
     ++accepted;
   }
@@ -311,7 +302,7 @@ FaultPlan FaultPlan::sample(const topology::Graph& graph,
               if (a.kind != b.kind) return kind_rank(a.kind) < kind_rank(b.kind);
               return a.id < b.id;
             });
-  return plan;
+  return true;
 }
 
 }  // namespace levnet::faults

@@ -20,6 +20,7 @@
 // fault scenario is exactly reproducible across runs and thread counts.
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "topology/graph.hpp"
@@ -82,9 +83,17 @@ class FaultPlan {
   /// from node faults (processor kills are the explicit `proc_fraction`
   /// axis) and the live ones anchor the connectivity requirement;
   /// `modules` is the memory-module count (fabric endpoints).
-  /// Deterministic in all arguments. CHECK-fails with a named error when
-  /// `proc_fraction > 0` and the requested fractions cannot be satisfied
-  /// under the connectivity/survivor guards (jointly unsatisfiable).
+  /// Deterministic in all arguments. Returns false with a named `error`
+  /// when `proc_fraction > 0` and the requested fractions cannot be
+  /// satisfied under the connectivity/survivor guards (jointly
+  /// unsatisfiable). Whether they can depends on the seed, so this is a
+  /// per-run outcome, not a spec-shape error.
+  [[nodiscard]] static bool sample(const topology::Graph& graph,
+                                   std::uint32_t endpoints,
+                                   std::uint32_t modules,
+                                   const FaultSpec& spec, std::uint64_t seed,
+                                   FaultPlan& plan, std::string& error);
+  /// As above, CHECK-failing with the named error instead.
   [[nodiscard]] static FaultPlan sample(const topology::Graph& graph,
                                         std::uint32_t endpoints,
                                         std::uint32_t modules,

@@ -5,30 +5,23 @@
 #include <string>
 #include <utility>
 
-#include "faults/plan.hpp"
+#include "faults/injector.hpp"
 #include "support/check.hpp"
 #include "support/thread_pool.hpp"
 
 namespace levnet::machine {
 
-// Shared-state inventory for the const run_seeded() contract: spec, name,
-// topo, router and fabric are written once in build() and only ever read
-// afterwards — run_seeded() may touch them const-ly from any number of
-// threads at once (each call owns a fresh NetworkEmulator; all mutable
-// per-run state lives there). The two fault members are the exception:
-// the injector mutates the graph's liveness overlay, which is why
-// run_seeded() CHECK-rejects faulted machines and run_trials() builds one
-// Machine per seed when the spec carries faults.
+// Shared-state inventory for the const run_seeded() contract: every
+// member is written once in build() and only ever read afterwards, so
+// run_seeded() may touch them const-ly from any number of threads at once.
+// All mutable per-run state — fault plan, injector, liveness mask and the
+// NetworkEmulator — is built inside each call.
 struct Machine::Impl {
   MachineSpec spec;
   std::string name;
   std::unique_ptr<TopologyBox> topo;
   std::unique_ptr<routing::Router> router;
   std::optional<emulation::EmulationFabric> fabric;
-  // Declaration order is the lifetime order: the injector borrows the plan
-  // and the box's graph, both of which live above it.
-  faults::FaultPlan plan;
-  std::unique_ptr<faults::FaultInjector> injector;
 };
 
 Machine::Machine(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
@@ -47,20 +40,6 @@ Machine Machine::build(const MachineSpec& spec) {
   LEVNET_CHECK_MSG(impl->router != nullptr, error);
   impl->fabric.emplace(impl->topo->make_fabric(*impl->router));
   impl->name = impl->topo->name();
-  if (spec.faults != FaultKnobs{}) {
-    faults::FaultSpec fault_spec;
-    fault_spec.link_fraction = spec.faults.links;
-    fault_spec.node_fraction = spec.faults.nodes;
-    fault_spec.module_fraction = spec.faults.modules;
-    fault_spec.proc_fraction = spec.faults.procs;
-    fault_spec.onset_epochs = spec.faults.onset_epochs;
-    fault_spec.preserve_connectivity = spec.faults.preserve_connectivity;
-    const std::uint32_t endpoints = impl->topo->endpoints();
-    impl->plan = faults::FaultPlan::sample(impl->topo->graph(), endpoints,
-                                           endpoints, fault_spec, spec.seed);
-    impl->injector = std::make_unique<faults::FaultInjector>(
-        impl->topo->graph_mut(), endpoints, impl->plan);
-  }
   return Machine(std::move(impl));
 }
 
@@ -105,32 +84,23 @@ const topology::Graph& Machine::graph() const noexcept {
 const routing::Router& Machine::router() const noexcept {
   return *impl_->router;
 }
-const emulation::EmulationFabric& Machine::fabric() const noexcept {
-  return *impl_->fabric;
-}
 std::uint32_t Machine::processors() const noexcept {
   return impl_->topo->endpoints();
 }
 std::uint32_t Machine::route_scale() const noexcept {
   return impl_->topo->route_scale();
 }
-faults::FaultInjector* Machine::injector() noexcept {
-  return impl_->injector.get();
-}
-
-emulation::EmulatorConfig Machine::emulator_config(
-    std::uint64_t seed) const noexcept {
-  emulation::EmulatorConfig config;
-  config.combining = impl_->spec.mode == Mode::kCrcwCombining;
-  config.hash_degree = impl_->spec.hash_degree;
-  config.step_budget_factor = impl_->spec.step_budget_factor;
-  config.max_rehash_attempts = impl_->spec.max_rehash_attempts;
-  config.discipline = impl_->spec.discipline;
-  config.node_buffer_bound = impl_->spec.node_buffer_bound;
-  config.step_threads = impl_->spec.step_threads;
-  config.seed = seed;
-  config.faults = impl_->injector.get();
-  return config;
+bool Machine::fault_plan(std::uint64_t seed, faults::FaultPlan& plan,
+                         std::string& error) const {
+  const FaultKnobs& knobs = impl_->spec.faults;
+  const faults::FaultSpec fault_spec{
+      .link_fraction = knobs.links, .node_fraction = knobs.nodes,
+      .module_fraction = knobs.modules, .proc_fraction = knobs.procs,
+      .onset_epochs = knobs.onset_epochs,
+      .preserve_connectivity = knobs.preserve_connectivity};
+  const std::uint32_t endpoints = processors();
+  return faults::FaultPlan::sample(graph(), endpoints, endpoints, fault_spec,
+                                   seed, plan, error);
 }
 
 sim::EngineConfig Machine::engine_config() const noexcept {
@@ -141,31 +111,53 @@ sim::EngineConfig Machine::engine_config() const noexcept {
   return config;
 }
 
-emulation::EmulationReport Machine::run(pram::PramProgram& program,
-                                        pram::SharedMemory& memory,
-                                        obs::Recorder* recorder) {
-  emulation::EmulatorConfig config = emulator_config(impl_->spec.seed);
+bool Machine::run_seeded(std::uint64_t seed, pram::PramProgram& program,
+                         pram::SharedMemory& memory,
+                         emulation::EmulationReport& report,
+                         std::string& error, obs::Recorder* recorder) const {
+  const MachineSpec& spec = impl_->spec;
+  emulation::EmulatorConfig config;
+  config.combining = spec.mode == Mode::kCrcwCombining;
+  config.hash_degree = spec.hash_degree;
+  config.step_budget_factor = spec.step_budget_factor;
+  config.max_rehash_attempts = spec.max_rehash_attempts;
+  config.discipline = spec.discipline;
+  config.node_buffer_bound = spec.node_buffer_bound;
+  config.step_threads = spec.step_threads;
+  config.seed = seed;
   config.recorder = recorder;
+  // The run's own fault state; declaration order is the lifetime order
+  // (the injector borrows the plan, the emulator borrows the injector).
+  faults::FaultPlan plan;
+  std::optional<faults::FaultInjector> injector;
+  if (spec.faults != FaultKnobs{}) {
+    if (!fault_plan(seed, plan, error)) return false;
+    config.faults = &injector.emplace(graph(), processors(), plan);
+  }
   emulation::NetworkEmulator emulator(*impl_->fabric, config);
-  return emulator.run(program, memory);
-}
-
-emulation::EmulationReport Machine::run(pram::PramProgram& program) {
-  pram::SharedMemory memory;
-  return run(program, memory);
+  report = emulator.run(program, memory);
+  return true;
 }
 
 emulation::EmulationReport Machine::run_seeded(
     std::uint64_t seed, pram::PramProgram& program, pram::SharedMemory& memory,
     obs::Recorder* recorder) const {
-  LEVNET_CHECK_MSG(impl_->injector == nullptr,
-                   "run_seeded is for fault-free machines; a faulted trial "
-                   "must own its Machine (build one with the trial seed in "
-                   "the spec)");
-  emulation::EmulatorConfig config = emulator_config(seed);
-  config.recorder = recorder;
-  emulation::NetworkEmulator emulator(*impl_->fabric, config);
-  return emulator.run(program, memory);
+  emulation::EmulationReport report;
+  std::string error;
+  LEVNET_CHECK_MSG(run_seeded(seed, program, memory, report, error, recorder),
+                   error);
+  return report;
+}
+
+emulation::EmulationReport Machine::run(pram::PramProgram& program,
+                                        pram::SharedMemory& memory,
+                                        obs::Recorder* recorder) const {
+  return run_seeded(impl_->spec.seed, program, memory, recorder);
+}
+
+emulation::EmulationReport Machine::run(pram::PramProgram& program) const {
+  pram::SharedMemory memory;
+  return run(program, memory);
 }
 
 ProgramFactory program_factory(std::string_view key,
@@ -185,17 +177,18 @@ ProgramFactory program_factory(std::string_view key,
   };
 }
 
-analysis::TrialStats run_trials(
-    const MachineSpec& spec, const ProgramFactory& factory,
-    std::uint32_t seeds, unsigned threads,
-    std::vector<emulation::EmulationReport>* reports,
-    std::vector<std::unique_ptr<obs::Recorder>>* recorders) {
+bool run_trials(const Machine& machine, const ProgramFactory& factory,
+                std::uint32_t seeds, unsigned threads,
+                analysis::TrialStats& stats, std::string& error,
+                std::vector<emulation::EmulationReport>* reports,
+                std::vector<std::unique_ptr<obs::Recorder>>* recorders) {
   LEVNET_CHECK_MSG(seeds > 0, "run_trials needs at least one seed");
   support::ThreadPool pool(threads);
   // Recorders are attached when the spec asks for observability or the
   // caller wants the recorders back; either way each seed owns its own
   // (recorders are not thread-safe), indexed like the report slots so the
   // output order is seed order at any thread count.
+  const MachineSpec& spec = machine.spec();
   const bool want_obs =
       recorders != nullptr || spec.obs_cadence != 0 || spec.obs_trace;
   std::vector<std::unique_ptr<obs::Recorder>> obs_per_seed;
@@ -204,51 +197,33 @@ analysis::TrialStats run_trials(
     obs_per_seed.reserve(seeds);
     for (std::uint32_t i = 0; i < seeds; ++i) {
       obs_per_seed.push_back(std::make_unique<obs::Recorder>(obs_config));
+      obs_per_seed.back()->bind_topology(machine.graph());
     }
   }
-  const auto recorder_for = [&](std::size_t i) -> obs::Recorder* {
-    return want_obs ? obs_per_seed[i].get() : nullptr;
-  };
   // Seed fan-out matches analysis::TrialRunner::collect (SplitMix64 of
-  // 1 + index) — results land in seed-indexed slots, so stats are
-  // bit-identical for 1 and N threads.
+  // 1 + index) — results and errors land in seed-indexed slots, so stats
+  // and the reported failure are bit-identical for 1 and N threads.
   std::vector<emulation::EmulationReport> per_seed(seeds);
-  if (spec.faults == FaultKnobs{}) {
-    // Fault-free: one shared machine, per-trial emulator streams — the
-    // same sharing the hand-written benches used (routers are immutable).
-    const Machine machine = Machine::build(spec);
-    if (want_obs) {
-      for (auto& recorder : obs_per_seed) {
-        recorder->bind_topology(machine.graph());
-      }
+  std::vector<std::string> errors(seeds);
+  pool.parallel_for(seeds, [&](std::size_t i) {
+    const std::uint64_t seed =
+        analysis::TrialRunner::trial_seed(1, static_cast<std::uint32_t>(i));
+    const auto program = factory(machine.processors(), seed);
+    pram::SharedMemory memory;
+    (void)machine.run_seeded(seed, *program, memory, per_seed[i], errors[i],
+                             want_obs ? obs_per_seed[i].get() : nullptr);
+  });
+  for (std::uint32_t i = 0; i < seeds; ++i) {
+    if (!errors[i].empty()) {
+      error = "trial " + std::to_string(i) + " (seed " +
+              std::to_string(analysis::TrialRunner::trial_seed(1, i)) +
+              "): " + errors[i];
+      return false;
     }
-    pool.parallel_for(seeds, [&](std::size_t i) {
-      const std::uint64_t seed = analysis::TrialRunner::trial_seed(
-          1, static_cast<std::uint32_t>(i));
-      const auto program = factory(machine.processors(), seed);
-      pram::SharedMemory memory;
-      per_seed[i] = machine.run_seeded(seed, *program, memory,
-                                       recorder_for(i));
-    });
-  } else {
-    // Faulted: the liveness overlay is mutable state, so every trial owns
-    // its machine; the trial seed drives plan sampling and the emulator
-    // stream together (one seed == one exact degraded history).
-    pool.parallel_for(seeds, [&](std::size_t i) {
-      const std::uint64_t seed = analysis::TrialRunner::trial_seed(
-          1, static_cast<std::uint32_t>(i));
-      MachineSpec trial_spec = spec;
-      trial_spec.seed = seed;
-      Machine machine = Machine::build(trial_spec);
-      obs::Recorder* const recorder = recorder_for(i);
-      if (recorder != nullptr) recorder->bind_topology(machine.graph());
-      const auto program = factory(machine.processors(), seed);
-      pram::SharedMemory memory;
-      per_seed[i] = machine.run(*program, memory, recorder);
-    });
   }
   const std::vector<analysis::TrialMeasurement> measurements(
       per_seed.begin(), per_seed.end());
+  stats = analysis::aggregate(measurements);
   if (reports != nullptr) {
     reports->insert(reports->end(),
                     std::make_move_iterator(per_seed.begin()),
@@ -259,7 +234,7 @@ analysis::TrialStats run_trials(
                       std::make_move_iterator(obs_per_seed.begin()),
                       std::make_move_iterator(obs_per_seed.end()));
   }
-  return analysis::aggregate(measurements);
+  return true;
 }
 
 }  // namespace levnet::machine

@@ -1,10 +1,11 @@
 #pragma once
 // Machine: one owning handle over the whole emulation stack.
 //
-// Hand-assembling an emulated PRAM takes five objects whose raw-pointer
+// Hand-assembling an emulated PRAM takes objects whose raw-pointer
 // lifetimes the caller must order correctly (graph <- router <- fabric,
-// plan <- injector bound to the same graph, emulator borrowing fabric and
-// injector). A Machine is built from a MachineSpec and owns all of it:
+// emulator borrowing the fabric, and per run a fault plan <- injector over
+// the same graph). A Machine is built from a MachineSpec and owns all of
+// it:
 //
 //   auto m = machine::Machine::build("star:5/two-phase/crcw-combining/fifo");
 //   pram::HistogramCrcwSum program(keys, buckets);
@@ -15,22 +16,22 @@
 // and baselines are recorded against them — and a spec-built Machine is
 // pinned bit-equal to the equivalent hand assembly in tests/machine_test.
 //
-// Concurrency contract: a fault-free Machine is immutable after build()
-// (graph and router const), so one instance can serve concurrent trials
-// through run_seeded(). A faulted Machine owns a mutable liveness overlay
-// and must not be shared across threads — run_trials() therefore builds
-// one Machine per seed when the spec carries faults, exactly like the
-// hand-written fault benches did.
+// Concurrency contract: a Machine is immutable after build() (graph,
+// router and fabric const), so one instance can serve concurrent trials
+// through run_seeded() — faulted or not. Faults are per-run input: each
+// run samples its FaultPlan from its own seed and applies it to its own
+// injector and liveness mask, never to the shared graph.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "analysis/trials.hpp"
 #include "emulation/emulator.hpp"
 #include "emulation/fabric.hpp"
-#include "faults/injector.hpp"
+#include "faults/plan.hpp"
 #include "machine/registry.hpp"
 #include "machine/spec.hpp"
 #include "obs/recorder.hpp"
@@ -62,52 +63,51 @@ class Machine {
   [[nodiscard]] const std::string& name() const noexcept;
   [[nodiscard]] const topology::Graph& graph() const noexcept;
   [[nodiscard]] const routing::Router& router() const noexcept;
-  [[nodiscard]] const emulation::EmulationFabric& fabric() const noexcept;
   /// Processor == memory-module count.
   [[nodiscard]] std::uint32_t processors() const noexcept;
   /// The diameter scale L of the theorems.
   [[nodiscard]] std::uint32_t route_scale() const noexcept;
-  /// The owned fault injector, or nullptr for a fault-free spec.
-  [[nodiscard]] faults::FaultInjector* injector() noexcept;
 
-  /// EmulatorConfig the spec denotes, with the RNG stream seeded by `seed`
-  /// (and `faults` pointing at the owned injector).
-  [[nodiscard]] emulation::EmulatorConfig emulator_config(
-      std::uint64_t seed) const noexcept;
+  /// The fault plan a run with `seed` applies (empty for a fault-free
+  /// spec). False + `error` when the spec's fractions cannot be met for
+  /// this seed — a per-run outcome validate() cannot foresee.
+  [[nodiscard]] bool fault_plan(std::uint64_t seed, faults::FaultPlan& plan,
+                                std::string& error) const;
+
   /// EngineConfig for driving the router directly (routing experiments):
   /// the spec's discipline and buffer bound, no step budget.
   [[nodiscard]] sim::EngineConfig engine_config() const noexcept;
 
-  /// Runs `program` to completion against `memory` with the spec's seed.
-  /// Replays the fault plan from epoch 0 on every call. A non-null
-  /// `recorder` observes the run (counters, latency histograms, optional
-  /// samples/trace) without perturbing it; null is byte-inert.
-  emulation::EmulationReport run(pram::PramProgram& program,
-                                 pram::SharedMemory& memory,
-                                 obs::Recorder* recorder = nullptr);
-  /// run() into a scratch memory (reports only).
-  emulation::EmulationReport run(pram::PramProgram& program);
-
-  /// Per-trial entry point: same machine, an explicit emulator seed.
-  /// Restricted to fault-free machines (const — safe to call concurrently
-  /// from trial threads); a faulted trial wants its own Machine with the
-  /// trial seed in the spec, so plan and stream move together.
+  /// Runs `program` to completion against `memory` with emulator seed
+  /// `seed`; a faulted spec samples its plan from the same seed, so one
+  /// (spec, seed) pair is one exact degraded history. A non-null
+  /// `recorder` observes the run without perturbing it (null is
+  /// byte-inert). CHECK-fails on a fault quota `seed` cannot meet; the
+  /// overload below returns that as false + `error`.
   ///
-  /// Thread-safety: on a fault-free machine every member this reaches
-  /// (spec, fabric, graph, router) is written once in build() and read-only
-  /// afterwards; each call constructs its own NetworkEmulator, which owns
-  /// all mutable run state (engine, pools, per-step maps, RNG stream).
-  /// The 8-thread stress in tests/concurrency_test.cpp pins the resulting
-  /// reports bit-identical to sequential runs, and the TSan CI job watches
-  /// this path for races.
-  /// A non-null `recorder` observes the run without perturbing it; the
-  /// recorder is not thread-safe, so concurrent run_seeded() calls must
-  /// each bring their own.
+  /// Thread-safe: build() writes every member once; each call owns its
+  /// plan, injector (liveness mask) and NetworkEmulator. Concurrent calls
+  /// must each bring their own recorder. tests/concurrency_test.cpp pins
+  /// 8-thread runs, faulted and fault-free, bit-identical to sequential.
   emulation::EmulationReport run_seeded(std::uint64_t seed,
                                         pram::PramProgram& program,
                                         pram::SharedMemory& memory,
                                         obs::Recorder* recorder
                                         = nullptr) const;
+  /// As above, but an unsatisfiable fault quota returns false + `error`
+  /// (the sampler's message) and leaves `report` untouched.
+  [[nodiscard]] bool run_seeded(std::uint64_t seed, pram::PramProgram& program,
+                                pram::SharedMemory& memory,
+                                emulation::EmulationReport& report,
+                                std::string& error,
+                                obs::Recorder* recorder = nullptr) const;
+
+  /// run_seeded() with the spec's seed.
+  emulation::EmulationReport run(pram::PramProgram& program,
+                                 pram::SharedMemory& memory,
+                                 obs::Recorder* recorder = nullptr) const;
+  /// run() into a scratch memory (reports only).
+  emulation::EmulationReport run(pram::PramProgram& program) const;
 
  private:
   struct Impl;
@@ -125,23 +125,26 @@ using ProgramFactory = std::function<std::unique_ptr<pram::PramProgram>(
 [[nodiscard]] ProgramFactory program_factory(std::string_view key,
                                              std::uint32_t pram_steps = 4);
 
-/// Batched trials: runs `seeds` independent emulations of the machine the
-/// spec describes across `threads` pool workers (0 = hardware concurrency),
-/// with the same SplitMix64 seed fan-out and seed-order aggregation as
+/// Batched trials: runs `seeds` independent emulations of `machine` across
+/// `threads` pool workers (0 = hardware concurrency), with the same
+/// SplitMix64 seed fan-out and seed-order aggregation as
 /// analysis::TrialRunner — results are bit-identical for 1 and N threads.
-/// Fault-free specs share one Machine across workers; faulted specs build
-/// one per seed (plan + stream derived from the trial seed). When
-/// `reports` is non-null the per-seed EmulationReports are appended in
-/// seed order.
+/// Every trial is machine.run_seeded(trial seed). When `reports` is
+/// non-null the per-seed EmulationReports are appended in seed order.
 ///
 /// Observability: when the spec carries obs:/trace tokens, or `recorders`
 /// is non-null, one obs::Recorder per seed (configured from the spec) is
 /// attached — stats then carry latency quantiles. A non-null `recorders`
 /// receives the per-seed recorders in seed order for metrics/trace export.
 /// Recorders never perturb the emulation; reports stay bit-identical.
-[[nodiscard]] analysis::TrialStats run_trials(
-    const MachineSpec& spec, const ProgramFactory& factory,
-    std::uint32_t seeds, unsigned threads,
+///
+/// False + `error` naming the first trial (in seed order) whose fault
+/// quota cannot be met; `stats`, `reports` and `recorders` are then left
+/// untouched.
+[[nodiscard]] bool run_trials(
+    const Machine& machine, const ProgramFactory& factory,
+    std::uint32_t seeds, unsigned threads, analysis::TrialStats& stats,
+    std::string& error,
     std::vector<emulation::EmulationReport>* reports = nullptr,
     std::vector<std::unique_ptr<obs::Recorder>>* recorders = nullptr);
 

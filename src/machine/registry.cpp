@@ -57,14 +57,11 @@ constexpr std::uint64_t kMaxNodes = std::uint64_t{1} << 22;
 /// greedy walk is its only sensible oblivious policy.
 class LinearGreedyRouter final : public routing::Router {
  public:
-  void prepare(routing::Packet& p, support::Rng& rng) const override {
-    (void)p;
-    (void)rng;
-  }
-  [[nodiscard]] routing::NodeId next_hop(routing::Packet& p,
-                                         routing::NodeId at,
-                                         support::Rng& rng) const override {
-    (void)rng;
+  void prepare(routing::Packet&, support::Rng&,
+               const topology::Liveness*) const override {}
+  [[nodiscard]] routing::NodeId next_hop(
+      routing::Packet& p, routing::NodeId at, support::Rng&,
+      const topology::Liveness*) const override {
     if (at == p.dst) return routing::kInvalidNode;
     return at < p.dst ? at + 1 : at - 1;
   }
@@ -89,9 +86,6 @@ class IdentityBox : public TopologyBox {
 
   [[nodiscard]] const topology::Graph& graph() const noexcept override {
     return topo_.graph();
-  }
-  [[nodiscard]] topology::Graph& graph_mut() noexcept override {
-    return topo_.graph_mut();
   }
   [[nodiscard]] std::string name() const override { return topo_.name(); }
   [[nodiscard]] std::uint32_t endpoints() const noexcept override {
@@ -201,9 +195,6 @@ class ButterflyBox final : public TopologyBox {
 
   [[nodiscard]] const topology::Graph& graph() const noexcept override {
     return bf_.graph();
-  }
-  [[nodiscard]] topology::Graph& graph_mut() noexcept override {
-    return bf_.graph_mut();
   }
   [[nodiscard]] std::string name() const override { return bf_.name(); }
   [[nodiscard]] std::uint32_t endpoints() const noexcept override {
@@ -601,6 +592,24 @@ std::string program_keys_joined() {
     joined += info.key;
   }
   return joined;
+}
+
+bool check_program(std::string_view key, Mode mode, std::string& error) {
+  const ProgramInfo* program = find_program(key);
+  if (program == nullptr) {
+    error = "unknown program family '" + std::string(key) +
+            "' (valid: " + program_keys_joined() + ")";
+    return false;
+  }
+  if (mode_allows(mode, program->required_mode)) return true;
+  const char* const needs =
+      program->required_mode == pram::Mode::kCrcw   ? "crcw"
+      : program->required_mode == pram::Mode::kCrew ? "crew"
+                                                    : "erew";
+  error = "program '" + std::string(key) + "' needs a " + needs +
+          " machine, but the spec's mode is '" + std::string(mode_key(mode)) +
+          "' (use /" + needs + " or /crcw-combining)";
+  return false;
 }
 
 std::unique_ptr<pram::PramProgram> make_program(std::string_view key,

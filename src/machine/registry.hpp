@@ -60,8 +60,6 @@ class TopologyBox {
   virtual ~TopologyBox() = default;
 
   [[nodiscard]] virtual const topology::Graph& graph() const noexcept = 0;
-  /// Mutable graph for the fault overlay (liveness mask).
-  [[nodiscard]] virtual topology::Graph& graph_mut() noexcept = 0;
   [[nodiscard]] virtual std::string name() const = 0;
   /// Processor == memory-module endpoint count (all nodes for the
   /// vertex-symmetric families; column-0 rows for the butterfly).
@@ -104,6 +102,12 @@ struct ProgramInfo {
 [[nodiscard]] bool mode_allows(Mode mode, pram::Mode required) noexcept;
 
 [[nodiscard]] const ProgramInfo* find_program(std::string_view key);
+
+/// True when program family `key` exists and can legally run on a `mode`
+/// machine; otherwise false + `error` naming the unknown key (with the
+/// valid ones) or the mode it needs — both front ends' wording.
+[[nodiscard]] bool check_program(std::string_view key, Mode mode,
+                                 std::string& error);
 
 [[nodiscard]] std::string program_keys_joined();
 

@@ -11,7 +11,7 @@ namespace levnet::obs {
 namespace {
 
 constexpr const char* kSpanNames[] = {
-    "phaseA", "phaseB", "phaseC", "landing", "data", "request", "reply",
+    "phaseA", "phaseB", "phaseC", "data", "request", "reply",
 };
 
 constexpr const char* span_name(Span span) noexcept {
@@ -23,7 +23,6 @@ constexpr const char* span_category(Span span) noexcept {
     case Span::kPhaseA:
     case Span::kPhaseB:
     case Span::kPhaseC:
-    case Span::kLanding:
       return "engine";
     case Span::kData:
     case Span::kRequest:
@@ -104,15 +103,11 @@ void Recorder::merge_lanes() noexcept {
   }
 }
 
-void Recorder::trace_step(std::uint32_t now, bool staged) {
+void Recorder::trace_step(std::uint32_t now) {
   const std::uint64_t base = virtual_step(now) * kTicksPerStep;
   events_.push_back(TraceEvent{base, 1, 0, Span::kPhaseA});
-  if (staged) {
-    events_.push_back(TraceEvent{base + 1, 1, 0, Span::kPhaseB});
-    events_.push_back(TraceEvent{base + 2, 1, 0, Span::kPhaseC});
-  } else {
-    events_.push_back(TraceEvent{base + 1, 2, 0, Span::kLanding});
-  }
+  events_.push_back(TraceEvent{base + 1, 1, 0, Span::kPhaseB});
+  events_.push_back(TraceEvent{base + 2, 1, 0, Span::kPhaseC});
 }
 
 void Recorder::begin_sample(std::uint32_t now, std::uint64_t in_flight) {

@@ -35,12 +35,11 @@ struct StepSample {
 /// Span kinds emitted into the trace. Values index kSpanNames.
 enum class Span : std::uint8_t {
   kPhaseA = 0,   // transmission phase of an engine step
-  kPhaseB = 1,   // concurrent landing-decision phase (staged step)
-  kPhaseC = 2,   // commit phase (staged step)
-  kLanding = 3,  // serial landing phase (bounded-buffer step)
-  kData = 4,     // packet lifecycle, PacketKind::kData
-  kRequest = 5,  // packet lifecycle, PacketKind::kRequest
-  kReply = 6,    // packet lifecycle, PacketKind::kReply
+  kPhaseB = 1,   // landing-decision phase
+  kPhaseC = 2,   // commit phase
+  kData = 3,     // packet lifecycle, PacketKind::kData
+  kRequest = 4,  // packet lifecycle, PacketKind::kRequest
+  kReply = 5,    // packet lifecycle, PacketKind::kReply
 };
 
 struct TraceEvent {
@@ -103,7 +102,7 @@ class Recorder {
   // --- step boundary (serial) ---
   [[nodiscard]] bool trace_enabled() const noexcept { return config_.trace; }
   /// Emits the engine phase spans for the step that just finished.
-  void trace_step(std::uint32_t now, bool staged);
+  void trace_step(std::uint32_t now);
   [[nodiscard]] bool sample_due(std::uint32_t now) const noexcept {
     return config_.cadence != 0 && now % config_.cadence == 0;
   }

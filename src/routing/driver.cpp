@@ -10,7 +10,7 @@ namespace levnet::routing {
 void RouterTraffic::on_packet(Packet& p, NodeId at, std::uint32_t step,
                               support::Rng& rng,
                               std::vector<sim::Forward>& out) {
-  const NodeId next = router_.next_hop(p, at, rng);
+  const NodeId next = router_.next_hop(p, at, rng, nullptr);
   if (next == kInvalidNode) {
     ++delivered_;
     if (at != p.dst) ++misdelivered_;
@@ -33,7 +33,7 @@ RoutingOutcome run_workload(const topology::Graph& graph, const Router& router,
     p.id = id++;
     p.src = endpoint ? endpoint(demand.source) : demand.source;
     p.dst = endpoint ? endpoint(demand.destination) : demand.destination;
-    router.prepare(p, rng);
+    router.prepare(p, rng, nullptr);
     const NodeId origin = p.src;
     engine.inject(std::move(p), origin, rng);
   }

@@ -13,14 +13,13 @@ NodeId TorusGreedyRouter::step_toward(NodeId at, NodeId target) const noexcept {
   return torus_.node_id(torus_.row_step_toward(r, tr), c);
 }
 
-void TorusGreedyRouter::prepare(Packet& p, support::Rng& rng) const {
-  (void)rng;
+void TorusGreedyRouter::prepare(Packet& p, support::Rng&,
+                                const Liveness*) const {
   p.route_state = 0;
 }
 
-NodeId TorusGreedyRouter::next_hop(Packet& p, NodeId at,
-                                   support::Rng& rng) const {
-  (void)rng;
+NodeId TorusGreedyRouter::next_hop(Packet& p, NodeId at, support::Rng&,
+                                   const Liveness*) const {
   if (at == p.dst) return kInvalidNode;
   return step_toward(at, p.dst);
 }
@@ -29,7 +28,8 @@ std::uint32_t TorusGreedyRouter::remaining(const Packet& p, NodeId at) const {
   return torus_.distance(at, p.dst);
 }
 
-void TorusValiantRouter::prepare(Packet& p, support::Rng& rng) const {
+void TorusValiantRouter::prepare(Packet& p, support::Rng& rng,
+                                 const Liveness*) const {
   p.intermediate = static_cast<NodeId>(rng.below(torus_.node_count()));
   p.route_state = 0;
 }
@@ -44,9 +44,8 @@ NodeId TorusValiantRouter::step_toward(NodeId at,
   return torus_.node_id(torus_.row_step_toward(r, tr), c);
 }
 
-NodeId TorusValiantRouter::next_hop(Packet& p, NodeId at,
-                                    support::Rng& rng) const {
-  (void)rng;
+NodeId TorusValiantRouter::next_hop(Packet& p, NodeId at, support::Rng&,
+                                    const Liveness*) const {
   if (p.route_state == 0) {
     if (at != p.intermediate) return step_toward(at, p.intermediate);
     p.route_state = 1;
@@ -65,13 +64,12 @@ std::uint32_t TorusValiantRouter::remaining(const Packet& p, NodeId at) const {
 
 // --------------------------------------------------------------------- ccc
 
-void CccSweepRouter::prepare(Packet& p, support::Rng& rng) const {
-  (void)rng;
+void CccSweepRouter::prepare(Packet& p, support::Rng&, const Liveness*) const {
   p.route_state = 0;
 }
 
-NodeId CccSweepRouter::next_hop(Packet& p, NodeId at, support::Rng& rng) const {
-  (void)rng;
+NodeId CccSweepRouter::next_hop(Packet& p, NodeId at, support::Rng&,
+                                const Liveness*) const {
   return ccc_.sweep_step(at, p.dst);
 }
 
@@ -83,14 +81,14 @@ std::uint32_t CccSweepRouter::remaining(const Packet& p, NodeId at) const {
   return ccc_.route_bound();
 }
 
-void CccTwoPhaseRouter::prepare(Packet& p, support::Rng& rng) const {
+void CccTwoPhaseRouter::prepare(Packet& p, support::Rng& rng,
+                                const Liveness*) const {
   p.intermediate = static_cast<NodeId>(rng.below(ccc_.node_count()));
   p.route_state = 0;
 }
 
-NodeId CccTwoPhaseRouter::next_hop(Packet& p, NodeId at,
-                                   support::Rng& rng) const {
-  (void)rng;
+NodeId CccTwoPhaseRouter::next_hop(Packet& p, NodeId at, support::Rng&,
+                                   const Liveness*) const {
   if (p.route_state == 0) {
     if (at != p.intermediate) return ccc_.sweep_step(at, p.intermediate);
     p.route_state = 1;

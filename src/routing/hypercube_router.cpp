@@ -2,13 +2,12 @@
 
 namespace levnet::routing {
 
-void EcubeRouter::prepare(Packet& p, support::Rng& rng) const {
-  (void)rng;
+void EcubeRouter::prepare(Packet& p, support::Rng&, const Liveness*) const {
   p.route_state = 0;
 }
 
-NodeId EcubeRouter::next_hop(Packet& p, NodeId at, support::Rng& rng) const {
-  (void)rng;
+NodeId EcubeRouter::next_hop(Packet& p, NodeId at, support::Rng&,
+                             const Liveness*) const {
   if (at == p.dst) return kInvalidNode;
   return cube_.ecube_step(at, p.dst);
 }
@@ -17,14 +16,14 @@ std::uint32_t EcubeRouter::remaining(const Packet& p, NodeId at) const {
   return cube_.distance(at, p.dst);
 }
 
-void ValiantHypercubeRouter::prepare(Packet& p, support::Rng& rng) const {
+void ValiantHypercubeRouter::prepare(Packet& p, support::Rng& rng,
+                                     const Liveness*) const {
   p.intermediate = static_cast<NodeId>(rng.below(cube_.node_count()));
   p.route_state = 0;
 }
 
-NodeId ValiantHypercubeRouter::next_hop(Packet& p, NodeId at,
-                                        support::Rng& rng) const {
-  (void)rng;
+NodeId ValiantHypercubeRouter::next_hop(Packet& p, NodeId at, support::Rng&,
+                                        const Liveness*) const {
   if (p.route_state == 0) {
     if (at != p.intermediate) return cube_.ecube_step(at, p.intermediate);
     p.route_state = 1;

@@ -12,9 +12,10 @@ class EcubeRouter final : public Router {
  public:
   explicit EcubeRouter(const topology::Hypercube& cube) : cube_(cube) {}
 
-  void prepare(Packet& p, support::Rng& rng) const override;
-  [[nodiscard]] NodeId next_hop(Packet& p, NodeId at,
-                                support::Rng& rng) const override;
+  void prepare(Packet& p, support::Rng& rng,
+               const Liveness* live) const override;
+  [[nodiscard]] NodeId next_hop(Packet& p, NodeId at, support::Rng& rng,
+                                const Liveness* live) const override;
   [[nodiscard]] std::uint32_t remaining(const Packet& p,
                                         NodeId at) const override;
 
@@ -27,9 +28,10 @@ class ValiantHypercubeRouter final : public Router {
   explicit ValiantHypercubeRouter(const topology::Hypercube& cube)
       : cube_(cube) {}
 
-  void prepare(Packet& p, support::Rng& rng) const override;
-  [[nodiscard]] NodeId next_hop(Packet& p, NodeId at,
-                                support::Rng& rng) const override;
+  void prepare(Packet& p, support::Rng& rng,
+               const Liveness* live) const override;
+  [[nodiscard]] NodeId next_hop(Packet& p, NodeId at, support::Rng& rng,
+                                const Liveness* live) const override;
   [[nodiscard]] std::uint32_t remaining(const Packet& p,
                                         NodeId at) const override;
 

@@ -53,7 +53,8 @@ MeshThreeStageRouter::MeshThreeStageRouter(const topology::Mesh& mesh,
   LEVNET_CHECK(slice_rows_ >= 1);
 }
 
-void MeshThreeStageRouter::prepare(Packet& p, support::Rng& rng) const {
+void MeshThreeStageRouter::prepare(Packet& p, support::Rng& rng,
+                                   const Liveness*) const {
   const std::uint32_t src_row = mesh_.row_of(p.src);
   const auto [first, last] = mesh_.slice_rows_of(src_row, slice_rows_);
   const auto random_row =
@@ -62,9 +63,8 @@ void MeshThreeStageRouter::prepare(Packet& p, support::Rng& rng) const {
   p.route_state = kStageRandomize;
 }
 
-NodeId MeshThreeStageRouter::next_hop(Packet& p, NodeId at,
-                                      support::Rng& rng) const {
-  (void)rng;
+NodeId MeshThreeStageRouter::next_hop(Packet& p, NodeId at, support::Rng&,
+                                      const Liveness*) const {
   const std::uint32_t r = mesh_.row_of(at);
   const std::uint32_t c = mesh_.col_of(at);
   const std::uint32_t dst_row = mesh_.row_of(p.dst);
@@ -102,14 +102,14 @@ std::uint32_t MeshThreeStageRouter::remaining(const Packet& p,
   }
 }
 
-void ValiantBrebnerMeshRouter::prepare(Packet& p, support::Rng& rng) const {
+void ValiantBrebnerMeshRouter::prepare(Packet& p, support::Rng& rng,
+                                       const Liveness*) const {
   p.intermediate = static_cast<NodeId>(rng.below(mesh_.node_count()));
   p.route_state = 0;
 }
 
-NodeId ValiantBrebnerMeshRouter::next_hop(Packet& p, NodeId at,
-                                          support::Rng& rng) const {
-  (void)rng;
+NodeId ValiantBrebnerMeshRouter::next_hop(Packet& p, NodeId at, support::Rng&,
+                                          const Liveness*) const {
   if (p.route_state == 0) {
     if (at != p.intermediate) return xy_step(mesh_, at, p.intermediate);
     p.route_state = 1;
@@ -127,14 +127,13 @@ std::uint32_t ValiantBrebnerMeshRouter::remaining(const Packet& p,
   return mesh_.distance(at, p.dst);
 }
 
-void GreedyXYMeshRouter::prepare(Packet& p, support::Rng& rng) const {
-  (void)rng;
+void GreedyXYMeshRouter::prepare(Packet& p, support::Rng&,
+                                 const Liveness*) const {
   p.route_state = 0;
 }
 
-NodeId GreedyXYMeshRouter::next_hop(Packet& p, NodeId at,
-                                    support::Rng& rng) const {
-  (void)rng;
+NodeId GreedyXYMeshRouter::next_hop(Packet& p, NodeId at, support::Rng&,
+                                    const Liveness*) const {
   if (at == p.dst) return kInvalidNode;
   return xy_step(mesh_, at, p.dst);
 }

@@ -31,9 +31,10 @@ class MeshThreeStageRouter final : public Router {
   /// slice_rows == 0 selects the default n/ceil(log2 n).
   MeshThreeStageRouter(const topology::Mesh& mesh, std::uint32_t slice_rows = 0);
 
-  void prepare(Packet& p, support::Rng& rng) const override;
-  [[nodiscard]] NodeId next_hop(Packet& p, NodeId at,
-                                support::Rng& rng) const override;
+  void prepare(Packet& p, support::Rng& rng,
+               const Liveness* live) const override;
+  [[nodiscard]] NodeId next_hop(Packet& p, NodeId at, support::Rng& rng,
+                                const Liveness* live) const override;
   /// Exact remaining path length (stage-aware) — the "furthest destination
   /// first" key of Section 3.4.
   [[nodiscard]] std::uint32_t remaining(const Packet& p,
@@ -56,9 +57,10 @@ class ValiantBrebnerMeshRouter final : public Router {
  public:
   explicit ValiantBrebnerMeshRouter(const topology::Mesh& mesh) : mesh_(mesh) {}
 
-  void prepare(Packet& p, support::Rng& rng) const override;
-  [[nodiscard]] NodeId next_hop(Packet& p, NodeId at,
-                                support::Rng& rng) const override;
+  void prepare(Packet& p, support::Rng& rng,
+               const Liveness* live) const override;
+  [[nodiscard]] NodeId next_hop(Packet& p, NodeId at, support::Rng& rng,
+                                const Liveness* live) const override;
   [[nodiscard]] std::uint32_t remaining(const Packet& p,
                                         NodeId at) const override;
 
@@ -70,9 +72,10 @@ class GreedyXYMeshRouter final : public Router {
  public:
   explicit GreedyXYMeshRouter(const topology::Mesh& mesh) : mesh_(mesh) {}
 
-  void prepare(Packet& p, support::Rng& rng) const override;
-  [[nodiscard]] NodeId next_hop(Packet& p, NodeId at,
-                                support::Rng& rng) const override;
+  void prepare(Packet& p, support::Rng& rng,
+               const Liveness* live) const override;
+  [[nodiscard]] NodeId next_hop(Packet& p, NodeId at, support::Rng& rng,
+                                const Liveness* live) const override;
   [[nodiscard]] std::uint32_t remaining(const Packet& p,
                                         NodeId at) const override;
 

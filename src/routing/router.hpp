@@ -6,22 +6,28 @@
 // The interface enforces that shape — `prepare` draws the coins (e.g. the
 // random intermediate node of Valiant's scheme) into the packet, and
 // `next_hop` is a pure function of packet state and current position.
+// Every call also receives the run's fault mask (`live`, null on a
+// pristine network); fault-aware routers steer around what it marks dead,
+// the rest ignore it.
 //
 // Concurrency contract: routers must be immutable after construction (no
-// mutable members, all randomness via the caller-supplied Rng). The trial
-// harness (analysis::TrialRunner) shares one router instance across
-// concurrent seed trials, each with its own engine and Rng.
+// mutable members, all randomness via the caller-supplied Rng, all fault
+// state via the caller-supplied mask). The trial harness shares one router
+// instance across concurrent seed trials, each with its own engine, Rng
+// and mask — faulted or not.
 
 #include <cstdint>
 
 #include "sim/packet.hpp"
 #include "support/rng.hpp"
 #include "topology/graph.hpp"
+#include "topology/liveness.hpp"
 
 namespace levnet::routing {
 
 using sim::Packet;
 using topology::kInvalidNode;
+using topology::Liveness;
 using topology::NodeId;
 
 class Router {
@@ -30,12 +36,14 @@ class Router {
 
   /// Initializes routing state for a journey that starts at p.src and ends
   /// at p.dst (draws random intermediates, resets hop counters).
-  virtual void prepare(Packet& p, support::Rng& rng) const = 0;
+  virtual void prepare(Packet& p, support::Rng& rng,
+                       const Liveness* live) const = 0;
 
   /// Next node to visit from `at`, or kInvalidNode when the packet is to be
   /// delivered at `at`. May advance p.route_state.
   [[nodiscard]] virtual NodeId next_hop(Packet& p, NodeId at,
-                                        support::Rng& rng) const = 0;
+                                        support::Rng& rng,
+                                        const Liveness* live) const = 0;
 
   /// Remaining journey length estimate; the engine's furthest-first
   /// discipline serves larger values first (Section 3.4's priority rule).
@@ -53,10 +61,10 @@ class Router {
   /// position-based routers (star greedy/two-phase, shuffle, mesh).
   /// Hop-counted routers whose phases assume a fixed start column
   /// (butterfly) must override with a position-based recovery mode.
-  virtual void reroute(Packet& p, NodeId resume_at,
-                       support::Rng& rng) const {
+  virtual void reroute(Packet& p, NodeId resume_at, support::Rng& rng,
+                       const Liveness* live) const {
     p.src = resume_at;
-    prepare(p, rng);
+    prepare(p, rng, live);
   }
 };
 

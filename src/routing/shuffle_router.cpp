@@ -9,14 +9,13 @@ namespace levnet::routing {
 // that link of the unique path) — a zero-cost traversal that can only make
 // the measured routing time smaller by at most one step for d special nodes.
 
-void ShuffleUniquePathRouter::prepare(Packet& p, support::Rng& rng) const {
-  (void)rng;
+void ShuffleUniquePathRouter::prepare(Packet& p, support::Rng&,
+                                      const Liveness*) const {
   p.route_state = 0;
 }
 
-NodeId ShuffleUniquePathRouter::next_hop(Packet& p, NodeId at,
-                                         support::Rng& rng) const {
-  (void)rng;
+NodeId ShuffleUniquePathRouter::next_hop(Packet& p, NodeId at, support::Rng&,
+                                         const Liveness*) const {
   std::uint32_t hops = sim::route_state_hops(p.route_state);
   while (hops < net_.digits()) {
     const NodeId next = net_.forward_toward(at, p.dst, hops);
@@ -37,25 +36,27 @@ std::uint32_t ShuffleUniquePathRouter::remaining(const Packet& p,
   return net_.digits() - sim::route_state_hops(p.route_state);
 }
 
-void ShuffleTwoPhaseRouter::prepare(Packet& p, support::Rng& rng) const {
-  (void)rng;
+void ShuffleTwoPhaseRouter::prepare(Packet& p, support::Rng&,
+                                    const Liveness*) const {
   p.route_state = sim::route_state_pack(kPhaseRandom, 0);
 }
 
 NodeId ShuffleTwoPhaseRouter::next_hop(Packet& p, NodeId at,
-                                       support::Rng& rng) const {
+                                       support::Rng& rng,
+                                       const Liveness* live) const {
   std::uint32_t phase = sim::route_state_phase(p.route_state);
   std::uint32_t hops = sim::route_state_hops(p.route_state);
   const std::uint32_t n = net_.digits();
 
-  if (net_.graph().has_faults() && phase != kPhaseDone && at != p.dst) {
+  const Liveness* const mask = topology::degraded(live);
+  if (mask != nullptr && phase != kPhaseDone && at != p.dst) {
     // Degraded last hop: all d forward (shift) entries into the
     // destination can be dead while a backward (un-shift) link survives —
     // forward-only restarts would then never deliver. Grab the
     // destination whenever it is a live direct neighbor, whichever
     // direction the link points, and finish the journey there.
     const topology::EdgeId direct = net_.graph().edge_between(at, p.dst);
-    if (direct != topology::kInvalidEdge && net_.graph().edge_live(direct)) {
+    if (direct != topology::kInvalidEdge && mask->edge_live(direct)) {
       p.route_state = sim::route_state_pack(kPhaseDone, 0);
       return p.dst;
     }
@@ -77,14 +78,14 @@ NodeId ShuffleTwoPhaseRouter::next_hop(Packet& p, NodeId at,
     if (phase == kPhaseRandom) {
       next = net_.shift_inject(
           at, static_cast<std::uint32_t>(rng.below(net_.radix())));
-      if (net_.graph().has_faults()) {
+      if (mask != nullptr) {
         // Degraded mode: prefer a live shift link (self-loop shifts stay
         // put and need no link). Bounded redraws; the engine's on_fault
         // detour is the backstop for badly cut-off nodes.
         for (std::uint32_t tries = 0; tries < 2 * net_.radix(); ++tries) {
           if (next == at) break;
           const topology::EdgeId e = net_.graph().edge_between(at, next);
-          if (e != topology::kInvalidEdge && net_.graph().edge_live(e)) break;
+          if (e != topology::kInvalidEdge && mask->edge_live(e)) break;
           next = net_.shift_inject(
               at, static_cast<std::uint32_t>(rng.below(net_.radix())));
         }

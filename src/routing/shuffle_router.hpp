@@ -19,9 +19,10 @@ class ShuffleUniquePathRouter final : public Router {
   explicit ShuffleUniquePathRouter(const topology::DWayShuffle& net)
       : net_(net) {}
 
-  void prepare(Packet& p, support::Rng& rng) const override;
-  [[nodiscard]] NodeId next_hop(Packet& p, NodeId at,
-                                support::Rng& rng) const override;
+  void prepare(Packet& p, support::Rng& rng,
+               const Liveness* live) const override;
+  [[nodiscard]] NodeId next_hop(Packet& p, NodeId at, support::Rng& rng,
+                                const Liveness* live) const override;
   [[nodiscard]] std::uint32_t remaining(const Packet& p,
                                         NodeId at) const override;
 
@@ -34,9 +35,10 @@ class ShuffleTwoPhaseRouter final : public Router {
   explicit ShuffleTwoPhaseRouter(const topology::DWayShuffle& net)
       : net_(net) {}
 
-  void prepare(Packet& p, support::Rng& rng) const override;
-  [[nodiscard]] NodeId next_hop(Packet& p, NodeId at,
-                                support::Rng& rng) const override;
+  void prepare(Packet& p, support::Rng& rng,
+               const Liveness* live) const override;
+  [[nodiscard]] NodeId next_hop(Packet& p, NodeId at, support::Rng& rng,
+                                const Liveness* live) const override;
   [[nodiscard]] std::uint32_t remaining(const Packet& p,
                                         NodeId at) const override;
 

@@ -17,9 +17,10 @@ class StarGreedyRouter final : public Router {
  public:
   explicit StarGreedyRouter(const topology::StarGraph& star) : star_(star) {}
 
-  void prepare(Packet& p, support::Rng& rng) const override;
-  [[nodiscard]] NodeId next_hop(Packet& p, NodeId at,
-                                support::Rng& rng) const override;
+  void prepare(Packet& p, support::Rng& rng,
+               const Liveness* live) const override;
+  [[nodiscard]] NodeId next_hop(Packet& p, NodeId at, support::Rng& rng,
+                                const Liveness* live) const override;
   [[nodiscard]] std::uint32_t remaining(const Packet& p,
                                         NodeId at) const override;
 
@@ -31,9 +32,10 @@ class StarTwoPhaseRouter final : public Router {
  public:
   explicit StarTwoPhaseRouter(const topology::StarGraph& star) : star_(star) {}
 
-  void prepare(Packet& p, support::Rng& rng) const override;
-  [[nodiscard]] NodeId next_hop(Packet& p, NodeId at,
-                                support::Rng& rng) const override;
+  void prepare(Packet& p, support::Rng& rng,
+               const Liveness* live) const override;
+  [[nodiscard]] NodeId next_hop(Packet& p, NodeId at, support::Rng& rng,
+                                const Liveness* live) const override;
   [[nodiscard]] std::uint32_t remaining(const Packet& p,
                                         NodeId at) const override;
 

@@ -4,15 +4,16 @@
 
 namespace levnet::routing {
 
-void TwoPhaseButterflyRouter::prepare(Packet& p, support::Rng& rng) const {
-  (void)rng;
+void TwoPhaseButterflyRouter::prepare(Packet& p, support::Rng&,
+                                      const Liveness*) const {
   p.route_state = p.src == p.dst ? sim::route_state_pack(kPhaseDone, 0)
                                  : sim::route_state_pack(kPhaseRandom, 0);
   p.intermediate = p.src;
 }
 
 NodeId TwoPhaseButterflyRouter::next_hop(Packet& p, NodeId at,
-                                         support::Rng& rng) const {
+                                         support::Rng& rng,
+                                         const Liveness* live) const {
   std::uint32_t phase = sim::route_state_phase(p.route_state);
   std::uint32_t hops = sim::route_state_hops(p.route_state);
   const std::uint32_t l = net_.levels();
@@ -54,22 +55,21 @@ NodeId TwoPhaseButterflyRouter::next_hop(Packet& p, NodeId at,
     // dead while a backward link survives (the graph is physically
     // bidirectional). Recovery therefore grabs the destination whenever it
     // is a live direct neighbor, whichever direction the link points.
+    LEVNET_DCHECK(live != nullptr);  // entered via reroute: a faulted run
     const topology::EdgeId direct = net_.graph().edge_between(at, p.dst);
-    if (direct != topology::kInvalidEdge && net_.graph().edge_live(direct)) {
+    if (direct != topology::kInvalidEdge && live->edge_live(direct)) {
       return p.dst;
     }
     const std::uint32_t scramble = hops;  // hops field = scramble countdown
     if (scramble > 0) {
       p.route_state = sim::route_state_pack(kPhaseRecover, scramble - 1);
-      return random_live_step(at, rng);
+      return random_live_step(at, rng, *live);
     }
     const NodeId next = net_.forward_toward(at, net_.row_of(p.dst));
     const topology::EdgeId e = net_.graph().edge_between(at, next);
-    if (e != topology::kInvalidEdge && net_.graph().edge_live(e)) {
-      return next;
-    }
+    if (e != topology::kInvalidEdge && live->edge_live(e)) return next;
     p.route_state = sim::route_state_pack(kPhaseRecover, l);
-    return random_live_step(at, rng);
+    return random_live_step(at, rng, *live);
   }
 
   NodeId next;
@@ -77,7 +77,7 @@ NodeId TwoPhaseButterflyRouter::next_hop(Packet& p, NodeId at,
     const std::uint32_t column = net_.column_of(at);
     const NodeId row = net_.row_of(at);
     auto digit = static_cast<std::uint32_t>(rng.below(net_.radix()));
-    if (net_.graph().has_faults()) {
+    if (const Liveness* const mask = topology::degraded(live)) {
       // Degraded mode: the d-sided coin prefers live forward links. A few
       // redraws keep the choice uniform over survivors in the common case;
       // if the node is badly cut off the engine's on_fault detour (which
@@ -86,7 +86,7 @@ NodeId TwoPhaseButterflyRouter::next_hop(Packet& p, NodeId at,
         const NodeId candidate =
             net_.node_id((column + 1) % l, net_.with_digit(row, column, digit));
         const topology::EdgeId e = net_.graph().edge_between(at, candidate);
-        if (e != topology::kInvalidEdge && net_.graph().edge_live(e)) break;
+        if (e != topology::kInvalidEdge && mask->edge_live(e)) break;
         digit = static_cast<std::uint32_t>(rng.below(net_.radix()));
       }
     }
@@ -98,8 +98,8 @@ NodeId TwoPhaseButterflyRouter::next_hop(Packet& p, NodeId at,
   return next;
 }
 
-NodeId TwoPhaseButterflyRouter::random_live_step(NodeId at,
-                                                 support::Rng& rng) const {
+NodeId TwoPhaseButterflyRouter::random_live_step(
+    NodeId at, support::Rng& rng, const Liveness& live) const {
   // Uniform over ALL live out-links, backward included. Forward-only
   // scrambling is not ergodic on a degraded butterfly: a neighborhood
   // whose live forward exits all funnel into a forward-dead node traps a
@@ -107,17 +107,15 @@ NodeId TwoPhaseButterflyRouter::random_live_step(NodeId at,
   // any live forward link exists). A uniform walk on the live graph is
   // ergodic, so together with the dst-adjacency grab recovery terminates
   // with probability 1.
-  const topology::Graph& g = net_.graph();
-  const NodeId next = g.random_live_neighbor(at, rng);
+  const NodeId next = live.random_live_neighbor(at, rng);
   if (next != kInvalidNode) return next;
   // Whole fan dead: hand any neighbor to the engine, whose on_fault
   // drop/detour path is the backstop.
-  return g.out_neighbors(at)[0];
+  return net_.graph().out_neighbors(at)[0];
 }
 
 void TwoPhaseButterflyRouter::reroute(Packet& p, NodeId resume_at,
-                                      support::Rng& rng) const {
-  (void)rng;
+                                      support::Rng&, const Liveness*) const {
   p.src = resume_at;
   // Resume with a full scramble countdown, not straight greedy: an
   // engine-level detour means the packet just bounced off a badly degraded
@@ -147,24 +145,21 @@ std::uint32_t TwoPhaseButterflyRouter::remaining(const Packet& p,
   }
 }
 
-void UniquePathButterflyRouter::reroute(Packet& p, NodeId resume_at,
-                                        support::Rng& rng) const {
-  (void)p;
-  (void)resume_at;
-  (void)rng;
+void UniquePathButterflyRouter::reroute(Packet&, NodeId, support::Rng&,
+                                        const Liveness*) const {
   LEVNET_CHECK_MSG(false,
                    "UniquePathButterflyRouter has no degraded mode; use "
                    "TwoPhaseButterflyRouter for fault scenarios");
 }
 
-void UniquePathButterflyRouter::prepare(Packet& p, support::Rng& rng) const {
-  (void)rng;
+void UniquePathButterflyRouter::prepare(Packet& p, support::Rng&,
+                                        const Liveness*) const {
   p.route_state = sim::route_state_pack(p.src == p.dst ? 1 : 0, 0);
 }
 
 NodeId UniquePathButterflyRouter::next_hop(Packet& p, NodeId at,
-                                           support::Rng& rng) const {
-  (void)rng;
+                                           support::Rng&,
+                                           const Liveness*) const {
   if (sim::route_state_phase(p.route_state) == 1) return kInvalidNode;
   const std::uint32_t hops = sim::route_state_hops(p.route_state);
   if (hops == net_.levels()) {

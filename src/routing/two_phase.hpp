@@ -22,9 +22,10 @@ class TwoPhaseButterflyRouter final : public Router {
   explicit TwoPhaseButterflyRouter(const topology::WrappedButterfly& net)
       : net_(net) {}
 
-  void prepare(Packet& p, support::Rng& rng) const override;
-  [[nodiscard]] NodeId next_hop(Packet& p, NodeId at,
-                                support::Rng& rng) const override;
+  void prepare(Packet& p, support::Rng& rng,
+               const Liveness* live) const override;
+  [[nodiscard]] NodeId next_hop(Packet& p, NodeId at, support::Rng& rng,
+                                const Liveness* live) const override;
   [[nodiscard]] std::uint32_t remaining(const Packet& p,
                                         NodeId at) const override;
   /// Fault recovery cannot restart the two hop-counted phases from an
@@ -33,8 +34,8 @@ class TwoPhaseButterflyRouter final : public Router {
   /// recovery phase: follow forward_toward until it stands on p.dst,
   /// escaping dead planned links via l-hop random scrambles (see
   /// next_hop's recover branch for why greedy correction alone livelocks).
-  void reroute(Packet& p, NodeId resume_at,
-               support::Rng& rng) const override;
+  void reroute(Packet& p, NodeId resume_at, support::Rng& rng,
+               const Liveness* live) const override;
 
  private:
   static constexpr std::uint32_t kPhaseRandom = 1;
@@ -45,7 +46,8 @@ class TwoPhaseButterflyRouter final : public Router {
   /// One hop of the degraded-mode scramble walk: a uniformly random live
   /// out-link of `at`, backward links included (see the .cpp for why
   /// forward-only scrambling is not ergodic).
-  [[nodiscard]] NodeId random_live_step(NodeId at, support::Rng& rng) const;
+  [[nodiscard]] NodeId random_live_step(NodeId at, support::Rng& rng,
+                                        const Liveness& live) const;
 
   const topology::WrappedButterfly& net_;
 };
@@ -57,9 +59,10 @@ class UniquePathButterflyRouter final : public Router {
   explicit UniquePathButterflyRouter(const topology::WrappedButterfly& net)
       : net_(net) {}
 
-  void prepare(Packet& p, support::Rng& rng) const override;
-  [[nodiscard]] NodeId next_hop(Packet& p, NodeId at,
-                                support::Rng& rng) const override;
+  void prepare(Packet& p, support::Rng& rng,
+               const Liveness* live) const override;
+  [[nodiscard]] NodeId next_hop(Packet& p, NodeId at, support::Rng& rng,
+                                const Liveness* live) const override;
   [[nodiscard]] std::uint32_t remaining(const Packet& p,
                                         NodeId at) const override;
   /// No degraded mode: the default reroute (src := resume_at + prepare)
@@ -68,8 +71,8 @@ class UniquePathButterflyRouter final : public Router {
   /// recovery necessarily breaks (see TwoPhaseButterflyRouter's recovery
   /// phase). Fails loudly instead; use the two-phase router for fault
   /// scenarios.
-  void reroute(Packet& p, NodeId resume_at,
-               support::Rng& rng) const override;
+  void reroute(Packet& p, NodeId resume_at, support::Rng& rng,
+               const Liveness* live) const override;
 
  private:
   const topology::WrappedButterfly& net_;

@@ -9,8 +9,8 @@ Farm::Farm(FarmConfig config) : config_(config) {}
 Farm::Resolved Farm::resolve(const machine::MachineSpec& spec) {
   Resolved resolved;
   if (spec.faults.any()) {
-    // Faulted machines carry a mutable liveness overlay and replay their
-    // plan from the spec seed; never shared, never cached.
+    // Faulted specs carry the request seed (their plan's seed) in the
+    // spec, so each is a private build, never cached.
     resolved.owned =
         std::make_unique<machine::Machine>(machine::Machine::build(spec));
     resolved.outcome = CacheOutcome::kUncacheable;

@@ -12,10 +12,12 @@
 //     recently-used entry once `cache_capacity` is exceeded. The const
 //     contract is exactly Machine::run_seeded's sharing contract — the
 //     TSan-pinned path run_trials already relies on.
-//   - faulted specs (spec.faults.any()) are never cached: the fault plan
-//     and RNG stream must derive together from the request seed, so the
-//     caller stamps the seed into the spec and the farm builds a private
-//     instance per request (counted as "uncacheable").
+//   - faulted specs (spec.faults.any()) are never cached: the caller
+//     stamps the request seed (which the run derives its fault plan from)
+//     into the spec, and the farm builds a private instance per request
+//     (counted as "uncacheable"). Faulted machines are shareable too
+//     (faults are per-run state); the path stays because the serve
+//     benchmark's measured cache classes depend on it.
 //
 // shared_ptr keeps an evicted-but-running machine alive until its last
 // in-flight request completes, so eviction never races execution.
@@ -56,9 +58,8 @@ class Farm {
   [[nodiscard]] const FarmConfig& config() const noexcept { return config_; }
 
   /// One resolved request. Exactly one of the two pointers is set: a hit
-  /// or miss hands out the cache's shared const machine (run it through
-  /// run_seeded); an uncacheable faulted spec hands out a private mutable
-  /// one (run it through run(), which replays the plan from spec.seed).
+  /// or miss hands out the cache's shared machine, an uncacheable faulted
+  /// spec a private one; either runs through run_seeded(request seed).
   struct Resolved {
     std::shared_ptr<const machine::Machine> shared;
     std::unique_ptr<machine::Machine> owned;

@@ -30,6 +30,8 @@ bool decode_request(const std::string& line, std::uint64_t seq,
 
   std::map<std::string, std::string> values;
   if (!machine::parse_flat_json(line, values, error, "request")) return false;
+  // The id comes first so that every later error can echo it.
+  if (values.count("id") != 0) out.tag = values["id"];
   for (const auto& [key, value] : values) {
     (void)value;
     if (key != "spec" && key != "program" && key != "seed" &&
@@ -44,7 +46,6 @@ bool decode_request(const std::string& line, std::uint64_t seq,
     return false;
   }
   out.spec_text = values["spec"];
-  if (values.count("id") != 0) out.tag = values["id"];
   if (values.count("program") != 0) out.program = values["program"];
   if (values.count("seed") != 0) {
     if (!machine::parse_count_u64(values["seed"], out.seed)) {
@@ -65,25 +66,7 @@ bool decode_request(const std::string& line, std::uint64_t seq,
   if (!machine::parse_spec(out.spec_text, out.spec, error)) return false;
   if (!machine::Machine::validate(out.spec, error)) return false;
   if (!out.seed_given) out.seed = out.spec.seed;
-
-  const machine::ProgramInfo* program = machine::find_program(out.program);
-  if (program == nullptr) {
-    error = "unknown program family '" + out.program +
-            "' (valid: " + machine::program_keys_joined() + ")";
-    return false;
-  }
-  if (!machine::mode_allows(out.spec.mode, program->required_mode)) {
-    const char* const needs =
-        program->required_mode == pram::Mode::kCrcw   ? "crcw"
-        : program->required_mode == pram::Mode::kCrew ? "crew"
-                                                      : "erew";
-    error = "program '" + out.program + "' needs a " + needs +
-            " machine, but the spec's mode is '" +
-            std::string(machine::mode_key(out.spec.mode)) + "' (use /" +
-            needs + " or /crcw-combining)";
-    return false;
-  }
-  return true;
+  return machine::check_program(out.program, out.spec.mode, error);
 }
 
 namespace {

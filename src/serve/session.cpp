@@ -31,32 +31,28 @@ void run_slot(Slot& slot) {
   const machine::Machine* m = slot.resolved.owned != nullptr
                                   ? slot.resolved.owned.get()
                                   : slot.resolved.shared.get();
-  std::string error;
-  std::unique_ptr<pram::PramProgram> program = machine::make_program(
-      slot.request.program, m->processors(), slot.request.seed,
-      slot.request.steps, error);
-  std::ostringstream os;
-  if (program == nullptr) {
-    slot.failed = true;
-    write_error_response(os, slot.request.seq, slot.request.tag, error);
-    slot.response = os.str();
-    return;
-  }
-
-  const machine::MachineSpec& spec = slot.request.spec;
-  const bool observe = spec.obs_cadence != 0 || spec.obs_trace;
+  const ServeRequest& request = slot.request;
+  const bool observe = request.spec.obs_cadence != 0 || request.spec.obs_trace;
   obs::Recorder recorder(
-      obs::RecorderConfig{spec.obs_cadence, spec.obs_trace});
+      obs::RecorderConfig{request.spec.obs_cadence, request.spec.obs_trace});
   if (observe) recorder.bind_topology(m->graph());
   obs::Recorder* rec = observe ? &recorder : nullptr;
 
+  std::string error;
+  std::unique_ptr<pram::PramProgram> program = machine::make_program(
+      request.program, m->processors(), request.seed, request.steps, error);
   pram::SharedMemory memory;
-  const emulation::EmulationReport report =
-      slot.resolved.owned != nullptr
-          ? slot.resolved.owned->run(*program, memory, rec)
-          : slot.resolved.shared->run_seeded(slot.request.seed, *program,
-                                             memory, rec);
-  write_ok_response(os, slot.request, slot.resolved.outcome, report, rec);
+  emulation::EmulationReport report;
+  // A run fails when the fault quota is unsatisfiable for this seed.
+  slot.failed = program == nullptr ||
+                !m->run_seeded(request.seed, *program, memory, report, error,
+                               rec);
+  std::ostringstream os;
+  if (slot.failed) {
+    write_error_response(os, request.seq, request.tag, error);
+  } else {
+    write_ok_response(os, request, slot.resolved.outcome, report, rec);
+  }
   slot.response = os.str();
 }
 
@@ -106,7 +102,8 @@ SessionStats Session::serve(std::istream& in, std::ostream& out) {
         continue;
       }
       if (slot.request.spec.faults.any()) {
-        // Plan and RNG stream must derive together from the request seed.
+        // A faulted request's plan derives from its seed, so the canonical
+        // spec it echoes (and the farm's private build) carries that seed.
         slot.request.spec.seed = slot.request.seed;
       }
       slot.resolved = farm_.resolve(slot.request.spec);

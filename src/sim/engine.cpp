@@ -8,8 +8,9 @@
 namespace levnet::sim {
 
 SyncEngine::SyncEngine(const topology::Graph& graph, TrafficHandler& handler,
-                       EngineConfig config)
+                       EngineConfig config, const topology::Liveness* live)
     : graph_(graph),
+      live_(live),
       handler_(handler),
       config_(config),
       queues_(graph.edge_count()),
@@ -86,7 +87,7 @@ void SyncEngine::route_from(PacketRef ref, NodeId at, support::Rng& rng) {
   scratch_forwards_.clear();
   scratch_forward_edges_.clear();
   handler_.on_packet(pool_.get(ref), at, now_, rng, scratch_forwards_);
-  if (graph_.has_faults() && !scratch_forwards_.empty() &&
+  if (topology::degraded(live_) != nullptr && !scratch_forwards_.empty() &&
       !resolve_faulted_forwards(ref, at, rng)) {
     // Every forward was blocked by a fault and the handler had no detour:
     // the packet is lost (counted, never silently).
@@ -134,7 +135,7 @@ bool SyncEngine::try_detour(PacketRef ref, NodeId at, NodeId blocked,
     const NodeId detour = handler_.on_fault(pool_.get(ref), at, blocked, rng);
     if (detour == topology::kInvalidNode) return false;
     const EdgeId e = graph_.edge_between(at, detour);
-    if (e != topology::kInvalidEdge && graph_.edge_live(e)) {
+    if (e != topology::kInvalidEdge && live_->edge_live(e)) {
       ++metrics_.detours;
       if (obs_ != nullptr) obs_->count_detour();
       next = detour;
@@ -154,7 +155,7 @@ bool SyncEngine::resolve_faulted_forwards(PacketRef ref, NodeId at,
     EdgeId edge = graph_.edge_between(at, f.to);
     LEVNET_CHECK_MSG(edge != topology::kInvalidEdge,
                      "handler forwarded along a non-existent link");
-    bool live = graph_.edge_live(edge);
+    bool live = live_->edge_live(edge);
     if (!live) {
       NodeId detour = topology::kInvalidNode;
       live = try_detour(ref, at, f.to, rng, detour, edge);
@@ -354,13 +355,14 @@ std::size_t SyncEngine::step(support::Rng& rng) {
   redirects_.clear();
   next_active_.clear();
   const std::uint64_t dropped_before = metrics_.dropped;
-  const bool staged = config_.node_buffer_bound == 0;
-  // Sharding needs the one-pop-per-active-link invariant (staged) and a
-  // fault-free graph (dead-link drains negotiate detours through the
-  // handler, inherently serial). The predicate depends only on engine
-  // state, never on thread scheduling, and either branch produces the
-  // same state by the landing phase.
-  const bool sharded = staged && step_pool_ != nullptr && !graph_.has_faults();
+  // Sharding needs the one-pop-per-active-link invariant (unbounded
+  // buffers) and a pristine network (dead-link drains negotiate detours
+  // through the handler, inherently serial). The predicate depends only on
+  // engine state, never on thread scheduling, and either branch produces
+  // the same state by the landing phase.
+  const topology::Liveness* const mask = topology::degraded(live_);
+  const bool sharded = config_.node_buffer_bound == 0 &&
+                       step_pool_ != nullptr && mask == nullptr;
   // Transmission phase: every active directed link moves one packet, unless
   // bounded-buffer mode blocks it.
   if (sharded) {
@@ -370,7 +372,7 @@ std::size_t SyncEngine::step(support::Rng& rng) {
       auto& queue = queues_[e];
       const NodeId tail = graph_.edge_tail(e);
       const NodeId head = graph_.edge_head(e);
-      if (graph_.has_faults() && !graph_.edge_live(e)) {
+      if (mask != nullptr && !mask->edge_live(e)) {
         drain_dead_edge(e, rng);
         edge_active_[e] = 0;  // queue is empty now; redirects re-activate
         continue;
@@ -415,40 +417,32 @@ std::size_t SyncEngine::step(support::Rng& rng) {
   // Landing phase: consumed or forwarded; new enqueues become eligible for
   // transmission from the next step (they are appended to active_ now, but
   // this step's transmission loop has already finished).
-  if (!staged) {
-    // Bounded-buffer mode keeps the legacy shared-stream landing loop (its
-    // fixtures and deadlock behaviour are pinned against it).
-    for (const Landing& landing : landings_) {
-      route_from(landing.ref, landing.at, rng);
-    }
+  // Landings draw from landing-private substreams derived off the main
+  // stream's position WITHOUT advancing it, so the landing order in which
+  // draws happen cannot matter — the precondition for sharding the
+  // decision phase, and the one model in force for every buffer bound and
+  // step_threads value, so one spec means one result.
+  const std::uint64_t step_key = rng.stream_key(now_);
+  if (sharded && concurrent_capable_ && !landings_.empty()) {
+    decide_landings(step_key);
+    commit_landings(step_key);
   } else {
-    // Staged landings draw from landing-private substreams derived off the
-    // main stream's position WITHOUT advancing it, so the landing order in
-    // which draws happen cannot matter — the precondition for sharding the
-    // decision phase, and the model in force at any step_threads so one
-    // spec means one result.
-    const std::uint64_t step_key = rng.stream_key(now_);
-    if (sharded && concurrent_capable_ && !landings_.empty()) {
-      decide_landings(step_key);
-      commit_landings(step_key);
-    } else {
-      // Serial staged path: route_from consumes exactly the draws phase B
-      // would have, in the same per-landing streams — bit-identical to
-      // decide+commit by construction, with zero phase scaffolding (the
-      // perf_alloc suite pins this path allocation-free).
-      for (std::size_t i = 0; i < landings_.size(); ++i) {
-        support::Rng sub = landing_rng(step_key, i);
-        route_from(landings_[i].ref, landings_[i].at, sub);
-      }
+    // Serial path: route_from consumes exactly the draws phase B would
+    // have, in the same per-landing streams — bit-identical to
+    // decide+commit by construction, with zero phase scaffolding (the
+    // perf_alloc suite pins this path allocation-free).
+    for (std::size_t i = 0; i < landings_.size(); ++i) {
+      support::Rng sub = landing_rng(step_key, i);
+      route_from(landings_[i].ref, landings_[i].at, sub);
     }
   }
   if (obs_ != nullptr) {
     // Step barrier: fold the per-shard lanes in shard order, then emit the
     // trace/timeline points. Everything here depends only on committed
-    // engine state, and `staged` is thread-count-independent, so the
-    // recorder's output is bit-identical across step_threads values.
+    // engine state, so the recorder's output is bit-identical across
+    // step_threads values.
     obs_->merge_lanes();
-    if (obs_->trace_enabled()) obs_->trace_step(now_, staged);
+    if (obs_->trace_enabled()) obs_->trace_step(now_);
     if (obs_->sample_due(now_)) {
       obs_->begin_sample(now_, pool_.live());
       for (const EdgeId e : active_) {

@@ -36,14 +36,14 @@
 // updates), pinned by the golden-equivalence suite and the sharded-step
 // tests in tests/concurrency_test.cpp.
 //
-// Degraded mode (src/faults/): when the graph carries a fault overlay
-// (Graph::has_faults()), every forward is validated against the liveness
-// mask; blocked forwards go through TrafficHandler::on_fault, which either
-// supplies a detour via a surviving neighbor (counted in
+// Degraded mode (src/faults/): when the run's liveness mask has anything
+// dead (topology::Liveness::has_faults()), every forward is validated
+// against it; blocked forwards go through TrafficHandler::on_fault, which
+// either supplies a detour via a surviving neighbor (counted in
 // RunMetrics::detours) or gives up (the packet drops, counted in
 // RunMetrics::dropped). Links that die mid-run with packets queued are
-// evacuated through the same hook. With no faults every one of these
-// branches is short-circuited by a single bool, and behaviour is
+// evacuated through the same hook. Without a mask every one of these
+// branches is short-circuited by a single pointer test, and behaviour is
 // bit-identical to the fault-free engine (pinned by the golden suite).
 
 #include <cstdint>
@@ -58,6 +58,7 @@
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 #include "topology/graph.hpp"
+#include "topology/liveness.hpp"
 
 namespace levnet::obs {
 class Recorder;
@@ -93,8 +94,12 @@ struct EngineConfig {
 
 class SyncEngine {
  public:
+  /// `live` is the run's fault mask over `graph` (null = pristine); its
+  /// owner may kill more of it between steps, and it must outlive the
+  /// engine.
   SyncEngine(const topology::Graph& graph, TrafficHandler& handler,
-             EngineConfig config);
+             EngineConfig config,
+             const topology::Liveness* live = nullptr);
 
   /// Places a packet on node `at` at the current time; the handler routes it
   /// immediately (it starts crossing its first link next step).
@@ -174,9 +179,10 @@ class SyncEngine {
   [[nodiscard]] PacketRef pop_by_discipline(
       support::RingQueue<PacketRef>& queue);
 
-  /// Degraded mode (graph_.has_faults()): rewrites scratch_forwards_ so
-  /// every forward targets a live link, asking the handler's on_fault for
-  /// detours; forwards with no detour are removed (counted as dropped).
+  /// Degraded mode (topology::degraded(live_) != null): rewrites
+  /// scratch_forwards_ so every forward targets a live link, asking the
+  /// handler's on_fault for detours; forwards with no detour are removed
+  /// (counted as dropped).
   /// Returns false when nothing survived.
   [[nodiscard]] bool resolve_faulted_forwards(PacketRef ref, NodeId at,
                                               support::Rng& rng);
@@ -223,6 +229,7 @@ class SyncEngine {
   void commit_landings(std::uint64_t step_key);
 
   const topology::Graph& graph_;
+  const topology::Liveness* live_;
   TrafficHandler& handler_;
   EngineConfig config_;
 

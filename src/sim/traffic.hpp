@@ -72,13 +72,13 @@ class TrafficHandler {
   /// for handlers that would defer every landing anyway.
   [[nodiscard]] virtual bool route_concurrent_capable() const { return false; }
 
-  /// Degraded-mode hook, called only when the graph carries a fault
-  /// overlay (topology::Graph::has_faults()): a forward for `p` at `at`
-  /// targets `blocked`, whose link (or the node itself) is dead. Return a
-  /// live replacement next hop — typically a surviving neighbor, after
-  /// re-preparing p's route to resume from there — or kInvalidNode to give
-  /// up, in which case the engine drops the packet and counts it in
-  /// RunMetrics::dropped. The default handler knows no detour and drops.
+  /// Degraded-mode hook, called only when the engine's liveness mask has
+  /// anything dead (topology::Liveness::has_faults()): a forward for `p`
+  /// at `at` targets `blocked`, whose link (or the node itself) is dead.
+  /// Return a live replacement next hop — typically a surviving neighbor,
+  /// after re-preparing p's route to resume from there — or kInvalidNode
+  /// to give up, in which case the engine drops the packet and counts it
+  /// in RunMetrics::dropped. The default handler knows no detour and drops.
   [[nodiscard]] virtual NodeId on_fault(Packet& p, NodeId at, NodeId blocked,
                                         support::Rng& rng) {
     (void)p;

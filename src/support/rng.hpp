@@ -73,7 +73,7 @@ class Rng {
 
   /// Mixes the generator's current position with `salt` into a 64-bit key
   /// WITHOUT advancing the stream. This is the base for families of
-  /// per-item substreams (one Rng per landing in the engine's staged step):
+  /// per-item substreams (one Rng per landing in the engine's step):
   /// distinct salts give independent keys, repeated calls with the same
   /// salt give the same key, and the main stream is left untouched either
   /// way — unlike split(), which consumes a draw.

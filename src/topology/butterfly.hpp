@@ -32,9 +32,6 @@ class WrappedButterfly {
   WrappedButterfly(std::uint32_t radix, std::uint32_t levels);
 
   [[nodiscard]] const Graph& graph() const noexcept { return graph_; }
-  /// Mutable access for the fault overlay (graph liveness mask); a faulted
-  /// graph must not be shared across concurrent trials.
-  [[nodiscard]] Graph& graph_mut() noexcept { return graph_; }
   [[nodiscard]] std::string name() const;
 
   [[nodiscard]] std::uint32_t radix() const noexcept { return radix_; }

@@ -22,9 +22,6 @@ class CubeConnectedCycles {
   explicit CubeConnectedCycles(std::uint32_t k);
 
   [[nodiscard]] const Graph& graph() const noexcept { return graph_; }
-  /// Mutable access for the fault overlay (graph liveness mask); a faulted
-  /// graph must not be shared across concurrent trials.
-  [[nodiscard]] Graph& graph_mut() noexcept { return graph_; }
   [[nodiscard]] std::string name() const;
 
   [[nodiscard]] std::uint32_t k() const noexcept { return k_; }

@@ -45,78 +45,4 @@ EdgeId Graph::edge_between(NodeId u, NodeId v) const noexcept {
   return kInvalidEdge;
 }
 
-void Graph::ensure_mask() {
-  if (!faulted_) {
-    edge_live_.assign(heads_.size(), 1);
-    node_live_.assign(node_count_, 1);
-    faulted_ = true;
-  }
-}
-
-void Graph::kill_edge(EdgeId e) {
-  LEVNET_CHECK(e < heads_.size());
-  ensure_mask();
-  if (edge_live_[e] != 0) {
-    edge_live_[e] = 0;
-    ++dead_edges_;
-  }
-}
-
-void Graph::kill_link(EdgeId e) {
-  kill_edge(e);
-  const EdgeId rev = reverse_[e];
-  if (rev != kInvalidEdge) kill_edge(rev);
-}
-
-void Graph::kill_node(NodeId v) {
-  LEVNET_CHECK(v < node_count_);
-  ensure_mask();
-  if (node_live_[v] == 0) return;
-  node_live_[v] = 0;
-  ++dead_nodes_;
-  // Incident edges die with the node: out-edges from the CSR row, in-edges
-  // by a full scan (the CSR has no in-edge index; node kills are plan
-  // application, not hot path).
-  for (EdgeId e = offsets_[v]; e < offsets_[v + 1]; ++e) {
-    if (edge_live_[e] != 0) {
-      edge_live_[e] = 0;
-      ++dead_edges_;
-    }
-  }
-  for (EdgeId e = 0; e < heads_.size(); ++e) {
-    if (heads_[e] == v && edge_live_[e] != 0) {
-      edge_live_[e] = 0;
-      ++dead_edges_;
-    }
-  }
-}
-
-void Graph::revive_all() {
-  faulted_ = false;
-  dead_edges_ = 0;
-  dead_nodes_ = 0;
-  edge_live_.clear();
-  node_live_.clear();
-}
-
-std::uint32_t Graph::live_out_degree(NodeId u) const noexcept {
-  if (!faulted_) return out_degree(u);
-  std::uint32_t live = 0;
-  for (EdgeId e = offsets_[u]; e < offsets_[u + 1]; ++e) {
-    live += edge_live_[e];
-  }
-  return live;
-}
-
-NodeId Graph::random_live_neighbor(NodeId u, support::Rng& rng) const {
-  const std::uint32_t live = live_out_degree(u);
-  if (live == 0) return kInvalidNode;
-  auto pick = static_cast<std::uint32_t>(rng.below(live));
-  for (EdgeId e = offsets_[u]; e < offsets_[u + 1]; ++e) {
-    if (!edge_live(e)) continue;
-    if (pick-- == 0) return heads_[e];
-  }
-  return kInvalidNode;  // unreachable
-}
-
 }  // namespace levnet::topology

@@ -7,14 +7,15 @@
 // rule — at most one packet per directed edge per step — then matches the
 // paper's "at most one packet passes through any link of the network at any
 // time" (Section 2.2).
+//
+// A Graph is immutable once built, so one instance can back any number of
+// concurrent runs. Faults never touch it: a run's dead links and nodes
+// live in its own topology::Liveness (liveness.hpp).
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
-
-#include "support/rng.hpp"
 
 namespace levnet::topology {
 
@@ -73,75 +74,13 @@ class Graph {
     return reverse_[e];
   }
 
-  // ------------------------------------------------------------- liveness
-  // Fault overlay (src/faults/): a lazily allocated mask of dead links and
-  // nodes layered over the immutable CSR structure. With no faults the mask
-  // is never allocated and every query short-circuits on one bool, so the
-  // fault-free hot path is a single predictable branch. Mutating the mask
-  // breaks the router-sharing concurrency contract (routing/router.hpp):
-  // fault trials must own their topology instance per seed.
-
-  /// True once any link or node has been killed since construction /
-  /// revive_all(). Callers gate every liveness-aware branch on this.
-  [[nodiscard]] bool has_faults() const noexcept { return faulted_; }
-
-  /// Directed edge e is usable: neither it, its tail, nor its head has been
-  /// killed (kill_node marks every incident edge dead, so one lookup
-  /// answers all three).
-  [[nodiscard]] bool edge_live(EdgeId e) const noexcept {
-    return !faulted_ || edge_live_[e] != 0;
-  }
-
-  [[nodiscard]] bool node_live(NodeId v) const noexcept {
-    return !faulted_ || node_live_[v] != 0;
-  }
-
-  /// Kills one directed edge.
-  void kill_edge(EdgeId e);
-
-  /// Kills the physical link carrying edge e: e and its reverse edge (when
-  /// the graph has one) — a bidirectional cable cut.
-  void kill_link(EdgeId e);
-
-  /// Kills a node and every edge incident to it (transit through the node
-  /// becomes impossible in either direction).
-  void kill_node(NodeId v);
-
-  /// Clears the overlay: everything live again, mask storage released.
-  void revive_all();
-
-  [[nodiscard]] std::uint32_t dead_edge_count() const noexcept {
-    return dead_edges_;
-  }
-  [[nodiscard]] std::uint32_t dead_node_count() const noexcept {
-    return dead_nodes_;
-  }
-
-  /// Number of live out-edges of u (degraded out-degree).
-  [[nodiscard]] std::uint32_t live_out_degree(NodeId u) const noexcept;
-
-  /// Uniformly random live out-neighbor of u, or kInvalidNode when the
-  /// whole fan is dead. The shared primitive of every degraded-mode
-  /// detour/scramble step (emulator on_fault, butterfly recovery walk).
-  [[nodiscard]] NodeId random_live_neighbor(NodeId u,
-                                            support::Rng& rng) const;
-
  private:
-  void ensure_mask();
-
   NodeId node_count_ = 0;
   std::uint32_t max_out_degree_ = 0;
   std::vector<EdgeId> offsets_;   // size node_count_+1
   std::vector<NodeId> heads_;     // size edge_count
   std::vector<NodeId> tails_;     // size edge_count
   std::vector<EdgeId> reverse_;   // size edge_count
-
-  // Fault overlay; empty until the first kill.
-  bool faulted_ = false;
-  std::uint32_t dead_edges_ = 0;
-  std::uint32_t dead_nodes_ = 0;
-  std::vector<std::uint8_t> edge_live_;  // size edge_count when faulted_
-  std::vector<std::uint8_t> node_live_;  // size node_count_ when faulted_
 };
 
 }  // namespace levnet::topology

@@ -17,9 +17,6 @@ class Hypercube {
   explicit Hypercube(std::uint32_t dim);
 
   [[nodiscard]] const Graph& graph() const noexcept { return graph_; }
-  /// Mutable access for the fault overlay (graph liveness mask); a faulted
-  /// graph must not be shared across concurrent trials.
-  [[nodiscard]] Graph& graph_mut() noexcept { return graph_; }
   [[nodiscard]] std::string name() const;
 
   [[nodiscard]] std::uint32_t dim() const noexcept { return dim_; }

@@ -14,9 +14,6 @@ class LinearArray {
   explicit LinearArray(std::uint32_t n);
 
   [[nodiscard]] const Graph& graph() const noexcept { return graph_; }
-  /// Mutable access for the fault overlay (graph liveness mask); a faulted
-  /// graph must not be shared across concurrent trials.
-  [[nodiscard]] Graph& graph_mut() noexcept { return graph_; }
   [[nodiscard]] std::string name() const;
 
   [[nodiscard]] NodeId node_count() const noexcept { return n_; }

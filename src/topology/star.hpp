@@ -39,10 +39,6 @@ class StarGraph {
   explicit StarGraph(std::uint32_t n);
 
   [[nodiscard]] const Graph& graph() const noexcept { return graph_; }
-  /// Mutable access for the fault overlay (graph liveness mask). A faulted
-  /// graph must not be shared across concurrent trials — see
-  /// routing/router.hpp's concurrency contract.
-  [[nodiscard]] Graph& graph_mut() noexcept { return graph_; }
   [[nodiscard]] std::string name() const;
 
   [[nodiscard]] std::uint32_t symbols() const noexcept { return n_; }

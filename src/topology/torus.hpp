@@ -16,9 +16,6 @@ class Torus {
   Torus(std::uint32_t rows, std::uint32_t cols);
 
   [[nodiscard]] const Graph& graph() const noexcept { return graph_; }
-  /// Mutable access for the fault overlay (graph liveness mask); a faulted
-  /// graph must not be shared across concurrent trials.
-  [[nodiscard]] Graph& graph_mut() noexcept { return graph_; }
   [[nodiscard]] std::string name() const;
 
   [[nodiscard]] std::uint32_t rows() const noexcept { return rows_; }

@@ -5,8 +5,8 @@
 //     exception-during-drain path under contention, and pool reuse after a
 //     failed fan-out.
 //   * Machine: the const run_seeded() sharing contract — 8 threads
-//     hammering one fault-free Machine must produce reports and final
-//     memories bit-identical to the same seeds run sequentially.
+//     hammering one Machine, fault-free or faulted, must produce reports
+//     and final memories bit-identical to the same seeds run sequentially.
 //   * ShardedStep: the intra-trial parallel engine (step_threads > 1) must
 //     be bit-identical to the serial engine — including machines smaller
 //     than the shard count, active lists that collapse to one link
@@ -140,9 +140,12 @@ void expect_identical(const EmulationReport& a, const EmulationReport& b,
   EXPECT_EQ(ma.sorted_cells(), mb.sorted_cells()) << label;
 }
 
-TEST(ConcurrencySharedMachine, RunSeededEightThreadsBitIdentical) {
-  const machine::Machine shared =
-      machine::Machine::build("star:5/two-phase/crcw-combining/fifo");
+/// 8 threads run one const Machine through run_seeded with distinct
+/// seeds; every report and final memory must equal the sequential run of
+/// the same seed. Returns the sequential reports.
+std::vector<EmulationReport> expect_shared_runs_match_sequential(
+    const std::string& spec) {
+  const machine::Machine shared = machine::Machine::build(spec);
   const machine::ProgramFactory factory =
       machine::program_factory("histogram");
 
@@ -180,15 +183,43 @@ TEST(ConcurrencySharedMachine, RunSeededEightThreadsBitIdentical) {
                      want_memories[seed], got_memories[seed],
                      "seed " + std::to_string(seed));
   }
+  return want_reports;
+}
+
+TEST(ConcurrencySharedMachine, RunSeededEightThreadsBitIdentical) {
+  (void)expect_shared_runs_match_sequential(
+      "star:5/two-phase/crcw-combining/fifo");
+}
+
+TEST(ConcurrencySharedMachine, FaultedMachineEightThreadsBitIdentical) {
+  // Faults are per-run input: each call samples its plan from its seed
+  // into its own injector and mask, so a faulted machine shares like a
+  // fault-free one. Link, proc and module faults with staggered onsets
+  // exercise detours, slot adoption and survivor remaps concurrently.
+  const std::vector<EmulationReport> reports =
+      expect_shared_runs_match_sequential(
+          "star:5/two-phase/crcw-combining/fifo/"
+          "faults:links=0.05,procs=0.1,modules=0.05,onsets=3/budget=64");
+  std::uint64_t detours = 0;
+  std::uint64_t dead_procs = 0;
+  for (const EmulationReport& report : reports) {
+    detours += report.detour_hops;
+    dead_procs += report.dead_procs;
+  }
+  EXPECT_GT(detours, 0U) << "link faults never forced a detour";
+  EXPECT_GT(dead_procs, 0U) << "proc faults never landed";
 }
 
 TEST(ConcurrencySharedMachine, RunTrialsMatchesAcrossThreadCounts) {
-  const machine::MachineSpec spec =
-      machine::parse_spec("shuffle:5/two-phase/crcw-combining/furthest-first");
+  const machine::Machine m = machine::Machine::build(
+      "shuffle:5/two-phase/crcw-combining/furthest-first");
   const machine::ProgramFactory factory =
       machine::program_factory("permutation");
-  const auto one = machine::run_trials(spec, factory, 12, 1);
-  const auto eight = machine::run_trials(spec, factory, 12, 8);
+  analysis::TrialStats one;
+  analysis::TrialStats eight;
+  std::string error;
+  ASSERT_TRUE(machine::run_trials(m, factory, 12, 1, one, error)) << error;
+  ASSERT_TRUE(machine::run_trials(m, factory, 12, 8, eight, error)) << error;
   EXPECT_EQ(one.steps.mean, eight.steps.mean);
   EXPECT_EQ(one.steps.max, eight.steps.max);
   EXPECT_EQ(one.worst_step.mean, eight.worst_step.mean);
@@ -380,31 +411,27 @@ TEST(ConcurrencyShardedStep, MachineThreadsTokenBitIdentical) {
 }
 
 TEST(ConcurrencyShardedStep, ProcFaultedThreadsTokenBitIdentical) {
-  // Degraded machines cannot share run_seeded (the liveness overlay is
-  // mutable), so each (seed, threads) pair builds its own machine with the
-  // seed stamped into the spec — fault plan, survivor adoption and the
-  // emulator stream all derive from it. threads:8 must reproduce the
-  // serial run bit for bit: under faults the transmit phase takes the
-  // serial path by design, and the sharded landing phases must not disturb
-  // the adoption order or the per-step recovery accounting.
+  // Fault plan, survivor adoption and the emulator stream all derive from
+  // the run seed. threads:8 must reproduce the serial run bit for bit:
+  // under faults the transmit phase takes the serial path by design, and
+  // the sharded landing phases must not disturb the adoption order or the
+  // per-step recovery accounting.
   const machine::ProgramFactory factory =
       machine::program_factory("permutation", 2);
-  const auto run = [&factory](bool sharded, std::uint64_t seed,
+  const std::string spec =
+      "star:5/two-phase/budget=64/faults:procs=0.1,links=0.05";
+  const machine::Machine serial = machine::Machine::build(spec);
+  const machine::Machine sharded = machine::Machine::build(spec + "/threads:8");
+  const auto run = [&factory](const machine::Machine& m, std::uint64_t seed,
                               SharedMemory& memory) {
-    machine::MachineSpec spec = machine::parse_spec(
-        std::string(
-            "star:5/two-phase/budget=64/faults:procs=0.1,links=0.05") +
-        (sharded ? "/threads:8" : ""));
-    spec.seed = seed;
-    machine::Machine m = machine::Machine::build(spec);
     const auto program = factory(m.processors(), seed);
-    return m.run(*program, memory);
+    return m.run_seeded(seed, *program, memory);
   };
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     SharedMemory memory_serial;
     SharedMemory memory_sharded;
-    const EmulationReport a = run(false, seed, memory_serial);
-    const EmulationReport b = run(true, seed, memory_sharded);
+    const EmulationReport a = run(serial, seed, memory_serial);
+    const EmulationReport b = run(sharded, seed, memory_sharded);
     expect_identical(a, b, memory_serial, memory_sharded,
                      "procs threads:8 seed " + std::to_string(seed));
     EXPECT_GT(a.dead_procs, 0U);

@@ -14,15 +14,15 @@
 //     across thread counts. Processor faults are compound (endpoint node +
 //     co-located module + program slot) and survivors adopt the dead slots
 //     through a seed-derived remap. Degraded machines are assembled from MachineSpecs
-//     (machine/machine.hpp): the spec seed derives plan and emulator
-//     stream together, and machine::run_trials owns the per-seed
-//     construction that a mutable liveness overlay demands.
-//   * the lifetime footgun — NetworkEmulator CHECK-rejects a FaultInjector
-//     bound to a different topology::Graph than the fabric's.
+//     (machine/machine.hpp): the run seed derives plan and emulator
+//     stream together, and one shared machine serves every fault trial —
+//     each run owns its injector and liveness mask, never the graph.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "analysis/trials.hpp"
@@ -32,6 +32,7 @@
 #include "faults/plan.hpp"
 #include "hashing/exclusion.hpp"
 #include "machine/machine.hpp"
+#include "machine/run_io.hpp"
 #include "machine/spec.hpp"
 #include "pram/algorithms/access_patterns.hpp"
 #include "pram/algorithms/histogram.hpp"
@@ -43,6 +44,7 @@
 #include "support/rng.hpp"
 #include "topology/butterfly.hpp"
 #include "topology/linear_array.hpp"
+#include "topology/liveness.hpp"
 #include "topology/shuffle.hpp"
 #include "topology/star.hpp"
 
@@ -66,6 +68,14 @@ std::size_t count_kind(const FaultPlan& plan, FaultKind kind) {
   std::size_t n = 0;
   for (const FaultEvent& e : plan.events()) n += e.kind == kind ? 1 : 0;
   return n;
+}
+
+/// The plan machine `m` applies on a run with its spec seed.
+FaultPlan plan_of(const machine::Machine& m) {
+  FaultPlan plan;
+  std::string error;
+  EXPECT_TRUE(m.fault_plan(m.spec().seed, plan, error)) << error;
+  return plan;
 }
 
 // ------------------------------------------------------------ plan layer
@@ -120,9 +130,10 @@ TEST(FaultPlan, NodeFaultsSpareEndpointsAndKeepThemConnected) {
   }
 
   // Apply everything and verify all endpoints still reach each other.
-  FaultInjector injector(bf.graph_mut(), endpoints, plan);
+  FaultInjector injector(bf.graph(), endpoints, plan);
   injector.advance_to(~0U);
   const topology::Graph& g = bf.graph();
+  const topology::Liveness& live = injector.liveness();
   std::vector<std::uint8_t> seen(g.node_count(), 0);
   std::vector<NodeId> queue{0};
   seen[0] = 1;
@@ -130,7 +141,7 @@ TEST(FaultPlan, NodeFaultsSpareEndpointsAndKeepThemConnected) {
     const NodeId u = queue[head];
     for (std::uint32_t k = 0; k < g.out_degree(u); ++k) {
       const EdgeId e = g.out_edge(u, k);
-      if (!g.edge_live(e)) continue;
+      if (!live.edge_live(e)) continue;
       const NodeId v = g.edge_head(e);
       if (!seen[v]) {
         seen[v] = 1;
@@ -204,15 +215,16 @@ TEST(FaultPlan, ProcFaultsLeaveSurvivorEndpointsConnected) {
       FaultPlan::sample(bf.graph(), endpoints, endpoints, spec, 9);
   EXPECT_GT(count_kind(plan, FaultKind::kProc), 0U);
 
-  FaultInjector injector(bf.graph_mut(), endpoints, plan);
+  FaultInjector injector(bf.graph(), endpoints, plan);
   injector.advance_to(~0U);
   const topology::Graph& g = bf.graph();
+  const topology::Liveness& live = injector.liveness();
   // BFS from the first live endpoint over the degraded graph: every
   // surviving endpoint must still be reachable; dead ones owe nothing and
   // must have taken all their incident links down with them.
   NodeId root = topology::kInvalidNode;
   for (NodeId v = 0; v < endpoints; ++v) {
-    if (g.node_live(v)) {
+    if (live.node_live(v)) {
       root = v;
       break;
     }
@@ -225,7 +237,7 @@ TEST(FaultPlan, ProcFaultsLeaveSurvivorEndpointsConnected) {
     const NodeId u = queue[head];
     for (std::uint32_t k = 0; k < g.out_degree(u); ++k) {
       const EdgeId e = g.out_edge(u, k);
-      if (!g.edge_live(e)) continue;
+      if (!live.edge_live(e)) continue;
       const NodeId v = g.edge_head(e);
       if (!seen[v]) {
         seen[v] = 1;
@@ -234,10 +246,10 @@ TEST(FaultPlan, ProcFaultsLeaveSurvivorEndpointsConnected) {
     }
   }
   for (NodeId v = 0; v < endpoints; ++v) {
-    if (g.node_live(v)) {
+    if (live.node_live(v)) {
       EXPECT_TRUE(seen[v]) << "survivor endpoint " << v << " cut off";
     } else {
-      EXPECT_EQ(g.live_out_degree(v), 0U)
+      EXPECT_EQ(live.live_out_degree(v), 0U)
           << "dead proc " << v << " kept a live link";
     }
   }
@@ -277,39 +289,68 @@ TEST(FaultPlanDeathTest, ProcAndLinkQuotasJointlyUnsatisfiableDieNamed) {
       "jointly unsatisfiable");
 }
 
+TEST(FaultPlan, UnsatisfiableQuotaIsAnErrorValue) {
+  // The error-returning overload reports what the 5-argument form dies
+  // with; front ends turn it into a per-request / per-trial error.
+  const topology::LinearArray line(16);
+  FaultSpec spec;
+  spec.proc_fraction = 0.9;
+  FaultPlan plan;
+  std::string error;
+  EXPECT_FALSE(FaultPlan::sample(line.graph(), line.node_count(),
+                                 line.node_count(), spec, 3, plan, error));
+  EXPECT_NE(error.find("procs= fraction unsatisfiable"), std::string::npos)
+      << error;
+}
+
 TEST(GraphLiveness, MaskSemantics) {
   topology::StarGraph star(4);
-  topology::Graph& g = star.graph_mut();
-  EXPECT_FALSE(g.has_faults());
+  const topology::Graph& g = star.graph();
+  topology::Liveness live(g);
+  EXPECT_FALSE(live.has_faults());
   ASSERT_GT(g.edge_count(), 0U);
   const EdgeId e = 0;
   const EdgeId rev = g.reverse_edge(e);
   ASSERT_NE(rev, topology::kInvalidEdge);
-  g.kill_link(e);
-  EXPECT_TRUE(g.has_faults());
-  EXPECT_FALSE(g.edge_live(e));
-  EXPECT_FALSE(g.edge_live(rev));
-  EXPECT_EQ(g.dead_edge_count(), 2U);
+  live.kill_link(e);
+  EXPECT_TRUE(live.has_faults());
+  EXPECT_FALSE(live.edge_live(e));
+  EXPECT_FALSE(live.edge_live(rev));
+  EXPECT_EQ(live.dead_edge_count(), 2U);
 
   const NodeId victim = g.edge_head(e) == 0 ? g.edge_tail(e) : g.edge_head(e);
-  const std::uint32_t before = g.live_out_degree(victim);
-  g.kill_node(victim);
-  EXPECT_FALSE(g.node_live(victim));
-  EXPECT_EQ(g.live_out_degree(victim), 0U);
+  const std::uint32_t before = live.live_out_degree(victim);
+  std::vector<EdgeId> killed;
+  live.kill_node(victim, &killed);
+  EXPECT_FALSE(live.node_live(victim));
+  EXPECT_EQ(live.live_out_degree(victim), 0U);
   EXPECT_GT(before, 0U);
-  // Every edge into the dead node died too.
+  // Every edge into the dead node died too; the link killed above was
+  // already dead, so it is not in the node's undo list.
   for (EdgeId edge = 0; edge < g.edge_count(); ++edge) {
     if (g.edge_head(edge) == victim || g.edge_tail(edge) == victim) {
-      EXPECT_FALSE(g.edge_live(edge));
+      EXPECT_FALSE(live.edge_live(edge));
     }
   }
+  EXPECT_EQ(killed.size() + 2, live.dead_edge_count());
 
-  g.revive_all();
-  EXPECT_FALSE(g.has_faults());
-  EXPECT_TRUE(g.edge_live(e));
-  EXPECT_TRUE(g.node_live(victim));
-  EXPECT_EQ(g.dead_edge_count(), 0U);
-  EXPECT_EQ(g.dead_node_count(), 0U);
+  // Undo (the sampler's rejected candidates) restores exactly the prior
+  // state: the node and its edges live again, the older link cut stays.
+  live.revive_node(victim, killed);
+  EXPECT_TRUE(live.node_live(victim));
+  EXPECT_EQ(live.dead_edge_count(), 2U);
+  EXPECT_FALSE(live.edge_live(e));
+  live.revive_link(e);
+  EXPECT_FALSE(live.has_faults());
+  EXPECT_TRUE(live.edge_live(rev));
+
+  live.kill_node(victim);
+  live.revive_all();
+  EXPECT_FALSE(live.has_faults());
+  EXPECT_TRUE(live.edge_live(e));
+  EXPECT_TRUE(live.node_live(victim));
+  EXPECT_EQ(live.dead_edge_count(), 0U);
+  EXPECT_EQ(live.dead_node_count(), 0U);
 }
 
 TEST(ExclusionRemap, RedirectsDeadBucketsOntoSurvivors) {
@@ -345,7 +386,7 @@ TEST(FaultInjector, EpochAdvanceAndReplay) {
       star.graph(), star.node_count(), star.node_count(), spec, 11);
   ASSERT_FALSE(plan.empty());
 
-  FaultInjector injector(star.graph_mut(), star.node_count(), plan);
+  FaultInjector injector(star.graph(), star.node_count(), plan);
   std::uint32_t applied_total = 0;
   for (std::uint32_t epoch = 0; epoch < spec.onset_epochs; ++epoch) {
     const FaultInjector::Applied applied = injector.advance_to(epoch);
@@ -361,7 +402,7 @@ TEST(FaultInjector, EpochAdvanceAndReplay) {
   }
 
   injector.reset();
-  EXPECT_FALSE(star.graph().has_faults());
+  EXPECT_FALSE(injector.liveness().has_faults());
   EXPECT_EQ(injector.dead_links(), 0U);
   injector.advance_to(spec.onset_epochs);
   EXPECT_EQ(injector.dead_links(), links_first);
@@ -377,7 +418,7 @@ TEST(FaultInjector, ProcDeathIsCompoundAndSurvivorsAdoptDeterministically) {
   const std::size_t dead = count_kind(plan, FaultKind::kProc);
   ASSERT_GT(dead, 0U);
 
-  FaultInjector injector(star.graph_mut(), star.node_count(), plan);
+  FaultInjector injector(star.graph(), star.node_count(), plan);
   injector.advance_to(~0U);
   EXPECT_EQ(injector.dead_procs(), dead);
   std::vector<std::uint32_t> adoption(star.node_count());
@@ -392,7 +433,7 @@ TEST(FaultInjector, ProcDeathIsCompoundAndSurvivorsAdoptDeterministically) {
       EXPECT_NE(host, p);
       // The compound fault: the endpoint node and the co-located module
       // died with the processor.
-      EXPECT_FALSE(star.graph().node_live(p));
+      EXPECT_FALSE(injector.liveness().node_live(p));
       EXPECT_FALSE(injector.module_live(p));
     }
   }
@@ -439,9 +480,10 @@ topology::Graph clique3() {
 }
 
 TEST(EngineFaults, StrandedQueueIsDroppedWithoutADetour) {
-  topology::Graph g = clique3();
+  const topology::Graph g = clique3();
+  topology::Liveness live(g);
   DetourHandler handler;
-  sim::SyncEngine engine(g, handler, {});
+  sim::SyncEngine engine(g, handler, {}, &live);
   support::Rng rng(1);
 
   sim::Packet p;
@@ -449,7 +491,7 @@ TEST(EngineFaults, StrandedQueueIsDroppedWithoutADetour) {
   p.dst = 2;
   engine.inject(p, 0, rng);
   ASSERT_EQ(engine.step(rng), 1U);  // crossed 0->1; now queued on 1->2
-  g.kill_link(g.edge_between(1, 2));
+  live.kill_link(g.edge_between(1, 2));
   EXPECT_TRUE(engine.run(rng));
   EXPECT_EQ(engine.metrics().dropped, 1U);
   EXPECT_EQ(engine.metrics().detours, 0U);
@@ -457,10 +499,11 @@ TEST(EngineFaults, StrandedQueueIsDroppedWithoutADetour) {
 }
 
 TEST(EngineFaults, StrandedQueueEvacuatesThroughOnFault) {
-  topology::Graph g = clique3();
+  const topology::Graph g = clique3();
+  topology::Liveness live(g);
   DetourHandler handler;
   handler.offer_detour = true;
-  sim::SyncEngine engine(g, handler, {});
+  sim::SyncEngine engine(g, handler, {}, &live);
   support::Rng rng(1);
 
   sim::Packet p;
@@ -468,7 +511,7 @@ TEST(EngineFaults, StrandedQueueEvacuatesThroughOnFault) {
   p.dst = 2;
   engine.inject(p, 0, rng);
   ASSERT_EQ(engine.step(rng), 1U);
-  g.kill_link(g.edge_between(1, 2));
+  live.kill_link(g.edge_between(1, 2));
   EXPECT_TRUE(engine.run(rng));
   EXPECT_EQ(engine.metrics().dropped, 0U);
   EXPECT_EQ(engine.metrics().detours, 1U);
@@ -476,11 +519,12 @@ TEST(EngineFaults, StrandedQueueEvacuatesThroughOnFault) {
 }
 
 TEST(EngineFaults, FreshForwardsDetourAroundADeadLink) {
-  topology::Graph g = clique3();
-  g.kill_link(g.edge_between(1, 2));  // dead before anything moves
+  const topology::Graph g = clique3();
+  topology::Liveness live(g);
+  live.kill_link(g.edge_between(1, 2));  // dead before anything moves
   DetourHandler handler;
   handler.offer_detour = true;
-  sim::SyncEngine engine(g, handler, {});
+  sim::SyncEngine engine(g, handler, {}, &live);
   support::Rng rng(1);
 
   sim::Packet p;
@@ -499,10 +543,11 @@ TEST(EngineFaults, ProcessorNodeDeathWithPacketsInFlightStaysConsistent) {
   // node is gone, so try_detour can never negotiate an escape: the packet
   // is dropped (and counted), its slot released, and the engine runs to
   // quiescence instead of wedging on a dead queue.
-  topology::Graph g = clique3();
+  const topology::Graph g = clique3();
+  topology::Liveness live(g);
   DetourHandler handler;
   handler.offer_detour = true;
-  sim::SyncEngine engine(g, handler, {});
+  sim::SyncEngine engine(g, handler, {}, &live);
   support::Rng rng(1);
 
   sim::Packet p;
@@ -510,7 +555,7 @@ TEST(EngineFaults, ProcessorNodeDeathWithPacketsInFlightStaysConsistent) {
   p.dst = 2;
   engine.inject(p, 0, rng);
   ASSERT_EQ(engine.step(rng), 1U);  // crossed 0->1; now queued on 1->2
-  g.kill_node(1);                   // the node hosting the queue dies
+  live.kill_node(1);                   // the node hosting the queue dies
   EXPECT_TRUE(engine.run(rng));
   EXPECT_EQ(engine.metrics().dropped, 1U);
   EXPECT_EQ(engine.metrics().consumed, 0U);
@@ -608,9 +653,8 @@ TEST(DegradedEmulation, ButterflySurvivesInteriorNodeFaults) {
   // Interior switches only (endpoints protected).
   const machine::MachineSpec spec =
       degraded_spec("butterfly:4", 0.05, 0.10, 0.0, false, 0xFA07);
-  machine::Machine m = machine::Machine::build(spec);
-  ASSERT_NE(m.injector(), nullptr);
-  EXPECT_GT(count_kind(m.injector()->plan(), FaultKind::kNode), 0U);
+  const machine::Machine m = machine::Machine::build(spec);
+  EXPECT_GT(count_kind(plan_of(m), FaultKind::kNode), 0U);
   pram::PrefixSumErew program(random_words(16, 40));
   expect_degraded_matches(program, spec);
 }
@@ -636,11 +680,11 @@ TEST(DegradedEmulation, HistogramCrcwOnButterflyUnderProcFaults) {
 TEST(DegradedEmulation, ProcLinkAndModuleFaultsComposeOnStar) {
   const machine::MachineSpec spec =
       degraded_spec("star:5", 0.05, 0.0, 0.10, false, 0xFA13, 0.10);
-  machine::Machine m = machine::Machine::build(spec);
-  ASSERT_NE(m.injector(), nullptr);
-  EXPECT_GT(count_kind(m.injector()->plan(), FaultKind::kProc), 0U);
-  EXPECT_GT(count_kind(m.injector()->plan(), FaultKind::kLink), 0U);
-  EXPECT_GT(count_kind(m.injector()->plan(), FaultKind::kModule), 0U);
+  const machine::Machine m = machine::Machine::build(spec);
+  const FaultPlan plan = plan_of(m);
+  EXPECT_GT(count_kind(plan, FaultKind::kProc), 0U);
+  EXPECT_GT(count_kind(plan, FaultKind::kLink), 0U);
+  EXPECT_GT(count_kind(plan, FaultKind::kModule), 0U);
   pram::PrefixSumErew program(random_words(24, 46));
   expect_degraded_matches(program, spec);
 }
@@ -667,14 +711,11 @@ TEST(DegradedEmulation, TimeTriggeredFaultsLandAcrossEpochs) {
   pram::PrefixSumErew program(random_words(24, 44));
   expect_degraded_matches(program, spec);
 
-  machine::Machine m = machine::Machine::build(spec);
+  const machine::Machine m = machine::Machine::build(spec);
   pram::PrefixSumErew replay(random_words(24, 44));
-  (void)m.run(replay);
-  const FaultInjector* injector = m.injector();
-  ASSERT_NE(injector, nullptr);
-  EXPECT_EQ(m.injector()->dead_links() + m.injector()->dead_modules() +
-                m.injector()->dead_nodes(),
-            injector->plan().events().size());
+  const emulation::EmulationReport report = m.run(replay);
+  EXPECT_EQ(report.dead_links + report.dead_modules + report.dead_nodes,
+            plan_of(m).events().size());
 }
 
 TEST(DegradedEmulation, OnsetProcDeathsLandMidProgram) {
@@ -683,10 +724,10 @@ TEST(DegradedEmulation, OnsetProcDeathsLandMidProgram) {
   pram::PrefixSumErew program(random_words(24, 48));
   expect_degraded_matches(program, spec);
 
-  machine::Machine m = machine::Machine::build(spec);
-  ASSERT_NE(m.injector(), nullptr);
+  const machine::Machine m = machine::Machine::build(spec);
+  const FaultPlan plan = plan_of(m);
   bool staggered = false;
-  for (const FaultEvent& e : m.injector()->plan().events()) {
+  for (const FaultEvent& e : plan.events()) {
     staggered = staggered || (e.kind == FaultKind::kProc && e.epoch > 0);
   }
   ASSERT_TRUE(staggered) << "every proc death drew epoch 0";
@@ -700,25 +741,38 @@ TEST(DegradedEmulation, OnsetProcDeathsLandMidProgram) {
             std::uint64_t{report.dead_procs} * report.pram_steps);
 }
 
-// The faults-lifetime footgun, closed: an injector bound to any graph
-// other than the fabric's would silently corrupt the liveness overlay, so
-// the emulator must refuse the binding outright — even for an empty plan.
-TEST(DegradedEmulationDeathTest, EmulatorRejectsInjectorOnDifferentGraph) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  topology::StarGraph fabric_star(4);
-  topology::StarGraph other_star(4);  // same shape, different instance
+// Fault state is per-run and indexed by edge/node id over an immutable
+// shape, so an injector built over any graph of the fabric's shape is the
+// same input as one built over the fabric's own graph: there is no
+// binding for the emulator to get wrong.
+TEST(DegradedEmulation, InjectorOverAnEqualShapedGraphIsTheSameInput) {
+  const topology::StarGraph fabric_star(4);
+  const topology::StarGraph other_star(4);  // same shape, other instance
   const routing::StarTwoPhaseRouter router(fabric_star);
   const emulation::EmulationFabric fab(fabric_star.graph(), router,
                                        fabric_star.diameter(),
                                        fabric_star.name());
-  const FaultPlan plan;  // empty: the binding is wrong regardless of events
-  FaultInjector injector(other_star.graph_mut(), other_star.node_count(),
-                         plan);
-  emulation::EmulatorConfig config;
-  config.faults = &injector;
-  EXPECT_DEATH(
-      { emulation::NetworkEmulator emulator(fab, config); },
-      "bound to the fabric's graph");
+  FaultSpec spec;
+  spec.link_fraction = 0.10;
+  const std::uint32_t n = fabric_star.node_count();
+  const FaultPlan plan = FaultPlan::sample(fabric_star.graph(), n, n, spec, 5);
+  ASSERT_FALSE(plan.empty());
+  const auto run = [&](const topology::Graph& graph) {
+    FaultInjector injector(graph, n, plan);
+    emulation::EmulatorConfig config;
+    config.step_budget_factor = 64;
+    config.faults = &injector;
+    emulation::NetworkEmulator emulator(fab, config);
+    pram::PermutationTraffic program(n, 2, 0xB0B);
+    SharedMemory memory;
+    return emulator.run(program, memory);
+  };
+  const emulation::EmulationReport own = run(fabric_star.graph());
+  const emulation::EmulationReport other = run(other_star.graph());
+  EXPECT_EQ(own.step_costs, other.step_costs);
+  EXPECT_EQ(own.detour_hops, other.detour_hops);
+  EXPECT_EQ(own.dead_links, other.dead_links);
+  EXPECT_GT(own.dead_links, 0U);
 }
 
 TEST(DegradedEmulation, EmptyPlanIsBitIdenticalToNoInjector) {
@@ -731,7 +785,7 @@ TEST(DegradedEmulation, EmptyPlanIsBitIdenticalToNoInjector) {
     emulation::EmulationFabric fab(star.graph(), router, star.diameter(),
                                    star.name());
     FaultPlan plan;  // empty
-    FaultInjector injector(star.graph_mut(), star.node_count(), plan);
+    FaultInjector injector(star.graph(), star.node_count(), plan);
     pram::PermutationTraffic program(star.node_count(), 3, 0xA11CE);
     emulation::EmulatorConfig config;
     config.seed = 0x901de2;
@@ -755,6 +809,64 @@ TEST(DegradedEmulation, EmptyPlanIsBitIdenticalToNoInjector) {
   EXPECT_EQ(with.fault_rehashes, 0U);
   EXPECT_TRUE(with.complete && without.complete);
   EXPECT_TRUE(mem_with == mem_without);
+}
+
+TEST(DegradedEmulation, QuotaFailureDependsOnTheRunSeed) {
+  // procs=0.6 on star:4 is satisfiable for some seeds and not others, so
+  // the failure belongs to the run, not to the spec: one shared machine
+  // answers seed 1 with the sampler's error and seed 2 with a report.
+  const machine::Machine m =
+      machine::Machine::build("star:4/two-phase/erew/fifo/faults:procs=0.6");
+  const auto run = [&](std::uint64_t seed, std::string& error) {
+    const auto program =
+        machine::program_factory("permutation")(m.processors(), seed);
+    SharedMemory memory;
+    emulation::EmulationReport report;
+    return m.run_seeded(seed, *program, memory, report, error);
+  };
+  std::string error;
+  EXPECT_FALSE(run(1, error));
+  EXPECT_NE(error.find("procs= fraction unsatisfiable"), std::string::npos)
+      << error;
+  std::string none;
+  EXPECT_TRUE(run(2, none)) << none;
+}
+
+/// Every report field, as the front ends print it.
+std::string report_text(const emulation::EmulationReport& report) {
+  std::ostringstream os;
+  machine::write_report_fields(os, report);
+  return os.str();
+}
+
+TEST(DegradedEmulation, SharedRunSeededEqualsAPerSeedBuild) {
+  // The one run path: run_seeded(s) on a machine built once equals a
+  // machine built with seed=s in its spec and run with run() — plan and
+  // stream both derive from the run seed, over every fault axis.
+  for (const char* text :
+       {"star:5/two-phase/faults:links=0.05/budget=64",
+        "butterfly:4/two-phase/faults:nodes=0.1,links=0.05/budget=64",
+        "star:5/two-phase/faults:procs=0.1,modules=0.05/budget=64",
+        "shuffle:6/two-phase/faults:links=0.05,onsets=4/budget=64"}) {
+    const machine::Machine shared = machine::Machine::build(text);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      machine::MachineSpec spec = machine::parse_spec(text);
+      spec.seed = seed;
+      const auto program =
+          machine::program_factory("permutation")(shared.processors(), seed);
+      SharedMemory shared_memory;
+      const emulation::EmulationReport want =
+          shared.run_seeded(seed, *program, shared_memory);
+      program->reset();
+      SharedMemory own_memory;
+      const emulation::EmulationReport got =
+          machine::Machine::build(spec).run(*program, own_memory);
+      EXPECT_EQ(report_text(want), report_text(got))
+          << text << " seed " << seed;
+      EXPECT_EQ(shared_memory.sorted_cells(), own_memory.sorted_cells())
+          << text << " seed " << seed;
+    }
+  }
 }
 
 // ------------------------------------------------ thread-count identity
@@ -782,14 +894,23 @@ bool stats_identical(const analysis::TrialStats& a,
          a.complete_runs == b.complete_runs && a.runs == b.runs;
 }
 
+analysis::TrialStats trials(const machine::MachineSpec& spec,
+                            unsigned threads) {
+  analysis::TrialStats stats;
+  std::string error;
+  EXPECT_TRUE(machine::run_trials(machine::Machine::build(spec),
+                                  machine::program_factory("permutation", 2),
+                                  /*seeds=*/8, threads, stats, error))
+      << error;
+  return stats;
+}
+
 analysis::TrialStats fault_trials(unsigned threads) {
-  // machine::run_trials owns the per-seed construction a faulted spec
-  // demands (the trial seed is stamped into the spec, so plan and stream
-  // are derived together; nothing mutable is shared across workers).
-  const machine::MachineSpec spec =
-      ten_percent_links_and_modules("star:5", false, /*seed=*/0);
-  return machine::run_trials(spec, machine::program_factory("permutation", 2),
-                             /*seeds=*/8, threads);
+  // One shared machine: each trial samples its plan from its trial seed
+  // and owns the resulting injector and mask, so nothing mutable is
+  // shared across workers.
+  return trials(ten_percent_links_and_modules("star:5", false, /*seed=*/0),
+                threads);
 }
 
 TEST(DegradedEmulation, FaultTrialsAreBitIdenticalAcrossThreadCounts) {
@@ -803,8 +924,7 @@ TEST(DegradedEmulation, FaultTrialsAreBitIdenticalAcrossThreadCounts) {
 analysis::TrialStats proc_fault_trials(unsigned threads) {
   machine::MachineSpec spec = ten_percent_procs("star:5", false, /*seed=*/0);
   spec.faults.links = 0.05;  // adoption composed with link detours
-  return machine::run_trials(spec, machine::program_factory("permutation", 2),
-                             /*seeds=*/8, threads);
+  return trials(spec, threads);
 }
 
 TEST(DegradedEmulation, ProcFaultTrialsAreBitIdenticalAcrossThreadCounts) {

@@ -323,7 +323,7 @@ std::pair<emulation::EmulationReport, SharedMemory> hand_built_run(
   if (faulted) {
     plan = faults::FaultPlan::sample(topo.graph(), endpoints, endpoints,
                                      fault_spec, kPinSeed);
-    injector = std::make_unique<faults::FaultInjector>(topo.graph_mut(),
+    injector = std::make_unique<faults::FaultInjector>(topo.graph(),
                                                        endpoints, plan);
   }
   emulation::EmulatorConfig config;
@@ -426,10 +426,12 @@ TEST(RunTrials, SeedDerivationMatchesTheBenchHarness) {
   // (SplitMix64 of first_seed + index, first_seed = 1), or migrated bench
   // rows would drift from their recorded baselines.
   std::vector<emulation::EmulationReport> reports;
-  const analysis::TrialStats stats =
-      run_trials(parse_spec("star:4/two-phase"),
-                 program_factory("permutation", 2), /*seeds=*/3,
-                 /*threads=*/1, &reports);
+  analysis::TrialStats stats;
+  std::string error;
+  ASSERT_TRUE(run_trials(Machine::build("star:4/two-phase"),
+                         program_factory("permutation", 2), /*seeds=*/3,
+                         /*threads=*/1, stats, error, &reports))
+      << error;
   ASSERT_EQ(reports.size(), 3U);
   EXPECT_EQ(stats.runs, 3U);
 
@@ -445,13 +447,18 @@ TEST(RunTrials, SeedDerivationMatchesTheBenchHarness) {
 }
 
 TEST(RunTrials, FaultFreeIsThreadCountInvariant) {
-  const MachineSpec spec = parse_spec("nshuffle:3/two-phase/crcw-combining");
+  const Machine m = Machine::build("nshuffle:3/two-phase/crcw-combining");
   std::vector<emulation::EmulationReport> one;
   std::vector<emulation::EmulationReport> eight;
-  const analysis::TrialStats a = run_trials(
-      spec, program_factory("permutation", 2), 6, /*threads=*/1, &one);
-  const analysis::TrialStats b = run_trials(
-      spec, program_factory("permutation", 2), 6, /*threads=*/8, &eight);
+  analysis::TrialStats a;
+  analysis::TrialStats b;
+  std::string error;
+  ASSERT_TRUE(run_trials(m, program_factory("permutation", 2), 6,
+                         /*threads=*/1, a, error, &one))
+      << error;
+  ASSERT_TRUE(run_trials(m, program_factory("permutation", 2), 6,
+                         /*threads=*/8, b, error, &eight))
+      << error;
   EXPECT_EQ(a.steps.mean, b.steps.mean);
   EXPECT_EQ(a.worst_step.max, b.worst_step.max);
   ASSERT_EQ(one.size(), eight.size());

@@ -208,11 +208,15 @@ std::string serialize_exports(
 }
 
 std::string run_and_export(const std::string& spec_text, unsigned threads) {
-  const MachineSpec spec = parse_spec(spec_text);
+  const machine::Machine m = machine::Machine::build(spec_text);
   const machine::ProgramFactory factory =
       machine::program_factory("histogram");
   std::vector<std::unique_ptr<obs::Recorder>> recorders;
-  (void)machine::run_trials(spec, factory, 4, threads, nullptr, &recorders);
+  analysis::TrialStats stats;
+  std::string error;
+  EXPECT_TRUE(machine::run_trials(m, factory, 4, threads, stats, error,
+                                  nullptr, &recorders))
+      << error;
   EXPECT_EQ(recorders.size(), 4U);
   return serialize_exports(recorders);
 }

@@ -79,7 +79,7 @@ TEST_P(SeedSweep, LinkCapacityNeverViolatedOnMesh) {
     p.id = id++;
     p.src = demand.source;
     p.dst = demand.destination;
-    router.prepare(p, rng);
+    router.prepare(p, rng, nullptr);
     const topology::NodeId origin = p.src;
     engine.inject(std::move(p), origin, rng);
   }

@@ -91,6 +91,23 @@ TEST(ServeRequestTest, RejectsStructuredErrors) {
             std::string::npos);
 }
 
+TEST(ServeRequestTest, EveryDecodeErrorKeepsTheId) {
+  // The id is read before any other check, so an error response can
+  // always name its request (only unparseable JSON has no id to give).
+  for (const std::string& line :
+       {std::string("{\"program\": \"permutation\", \"id\": \"z\"}"),
+        "{\"spec\": \"" + std::string(kSpec) +
+            "\", \"frobnicate\": 1, \"id\": \"z\"}",
+        std::string("{\"spec\": \"nope:5/greedy\", \"id\": \"z\"}"),
+        std::string("{\"spec\": \"star:5/two-phase/erew/fifo\", "
+                    "\"program\": \"logical-or\", \"id\": \"z\"}")}) {
+    serve::ServeRequest request;
+    std::string error;
+    EXPECT_FALSE(serve::decode_request(line, 0, 4, request, error)) << line;
+    EXPECT_EQ(request.tag, "z") << line;
+  }
+}
+
 // -------------------------------------------------------------------- farm
 
 machine::MachineSpec spec_with_seed(std::uint64_t seed) {
@@ -238,6 +255,33 @@ TEST(ServeSessionTest, MalformedRequestsYieldErrorLinesAndStreamSurvives) {
   EXPECT_NE(lines[2].find("\"status\": \"error\""), std::string::npos);
   EXPECT_NE(lines[3].find("\"seq\": 3"), std::string::npos);
   EXPECT_NE(lines[3].find("\"id\": \"b\""), std::string::npos);
+}
+
+TEST(ServeSessionTest, UnsatisfiableFaultQuotaIsAPerRequestError) {
+  // Whether procs=0.6 can be met on star:4 depends on the seed (seed 1
+  // cannot), so it surfaces at run time as this request's error; the
+  // stream goes on to serve the next line and the stats line.
+  const std::string payload =
+      "{\"spec\": \"star:4/two-phase/erew/fifo/faults:procs=0.6\", "
+      "\"seed\": 1, \"id\": \"quota\"}\n"
+      "{\"spec\": \"star:4/two-phase/erew/fifo\", \"seed\": 1, "
+      "\"id\": \"next\"}\n";
+  serve::SessionStats stats;
+  const std::string output = serve_text(payload, 8, 2, &stats);
+  EXPECT_EQ(stats.requests, 2U);
+  EXPECT_EQ(stats.errors, 1U);
+  EXPECT_EQ(stats.ok, 1U);
+  const std::vector<std::string> lines = split_lines(output);
+  ASSERT_EQ(lines.size(), 3U);
+  EXPECT_NE(lines[0].find("\"id\": \"quota\", \"status\": \"error\""),
+            std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[0].find("procs= fraction unsatisfiable"), std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[1].find("\"id\": \"next\", \"status\": \"ok\""),
+            std::string::npos)
+      << lines[1];
+  EXPECT_NE(lines[2].find("\"status\": \"stats\""), std::string::npos);
 }
 
 TEST(ServeSessionTest, QueueDepthBoundsBatches) {

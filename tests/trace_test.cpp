@@ -69,7 +69,7 @@ TracedRun traced_permutation(const topology::Graph& graph,
     p.id = id++;
     p.src = demand.source;
     p.dst = demand.destination;
-    router.prepare(p, rng);
+    router.prepare(p, rng, nullptr);
     const topology::NodeId origin = p.src;
     engine.inject(std::move(p), origin, rng);
   }

@@ -100,7 +100,7 @@ RULES = (
 )
 
 # Directories scanned relative to the root; build trees never qualify.
-SCAN_DIRS = ("src", "tools", "tests", "bench", "examples")
+SCAN_DIRS = ("src", "tools", "tests", "bench", "examples", "perfbench")
 
 # File-level allowlist: rule -> set of root-relative paths exempt from it.
 # PR 6 shrank the unordered-iteration list to empty by migrating the golden

@@ -341,35 +341,24 @@ int main(int argc, char** argv) {
     std::cerr << "levnet_run: " << error << "\n";
     return 1;
   }
-  const machine::ProgramInfo* program = machine::find_program(options.program);
-  if (program == nullptr) {
-    std::cerr << "levnet_run: unknown program family '" << options.program
-              << "' (valid: " << machine::program_keys_joined() << ")\n";
-    return 1;
-  }
-  if (!machine::mode_allows(spec.mode, program->required_mode)) {
-    const char* const needs =
-        program->required_mode == pram::Mode::kCrcw   ? "crcw"
-        : program->required_mode == pram::Mode::kCrew ? "crew"
-                                                      : "erew";
-    std::cerr << "levnet_run: program '" << options.program << "' needs a "
-              << needs << " machine, but the spec's mode is '"
-              << machine::mode_key(spec.mode)
-              << "' (use /" << needs << " or /crcw-combining)\n";
+  if (!machine::check_program(options.program, spec.mode, error)) {
+    std::cerr << "levnet_run: " << error << "\n";
     return 1;
   }
 
-  // A machine instance for the report header (the trials build their own
-  // when the spec carries faults).
-  machine::Machine machine = machine::Machine::build(spec);
+  const machine::Machine machine = machine::Machine::build(spec);
   std::vector<emulation::EmulationReport> reports;
   const bool want_recorders =
       !options.metrics_path.empty() || !options.trace_path.empty();
   std::vector<std::unique_ptr<obs::Recorder>> recorders;
-  const analysis::TrialStats stats = machine::run_trials(
-      spec, machine::program_factory(options.program, options.steps),
-      options.seeds, options.threads, &reports,
-      want_recorders ? &recorders : nullptr);
+  analysis::TrialStats stats;
+  if (!machine::run_trials(
+          machine, machine::program_factory(options.program, options.steps),
+          options.seeds, options.threads, stats, error, &reports,
+          want_recorders ? &recorders : nullptr)) {
+    std::cerr << "levnet_run: " << error << "\n";
+    return 1;
+  }
 
   std::cout << "machine      : " << machine.name() << "  ("
             << machine.graph().node_count() << " nodes, "

@@ -8,7 +8,7 @@ optionally, the matching `--metrics` JSONL) for structural soundness:
     fields the trace-event format requires (ph, name, pid, tid; complete
     "X" events also ts/dur/cat);
   * span names and categories come from the recorder's fixed vocabulary
-    (engine: phaseA/phaseB/phaseC/landing; packet: data/request/reply);
+    (engine: phaseA/phaseB/phaseC; packet: data/request/reply);
   * timestamps are virtual (non-negative integers) — wall-clock leakage
     into the trace would show up as huge epoch offsets;
   * metrics lines are well-formed run/sample records whose counter keys
@@ -44,7 +44,7 @@ PROBE_NAMES = (
     "transmissions",
 )
 
-ENGINE_SPANS = {"phaseA", "phaseB", "phaseC", "landing"}
+ENGINE_SPANS = {"phaseA", "phaseB", "phaseC"}
 PACKET_SPANS = {"data", "request", "reply"}
 QUANTILE_KEYS = {"p50", "p95", "p99", "samples", "sum"}
 
