@@ -49,8 +49,12 @@ class Machine {
   /// Convenience: parse + build a spec literal.
   [[nodiscard]] static Machine build(std::string_view spec_text);
 
-  /// True iff build() would succeed; on failure `error` names the bad
-  /// token and lists the valid alternatives.
+  /// Shape-only: true exactly when build() would succeed. Checks the
+  /// family's shape rule (parameter ranges and the node cap), the router
+  /// key, and that only a router which takes one carries a parameter — by
+  /// arithmetic and catalogue lookups, constructing no topology, router or
+  /// fabric. On failure `error` names the bad token and lists the valid
+  /// alternatives.
   [[nodiscard]] static bool validate(const MachineSpec& spec,
                                      std::string& error);
 

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -206,12 +207,121 @@ TEST(MachineSpec, RejectsOutOfRangeValues) {
 
 TEST(MachineValidate, RangesAreEnforced) {
   std::string error;
-  MachineSpec too_big = parse_spec("star:9/two-phase");
-  too_big.param0 = 10;  // 10! nodes: rejected by range, never constructed
-  EXPECT_FALSE(Machine::validate(too_big, error));
-  EXPECT_NE(error.find("star"), std::string::npos) << error;
-
   EXPECT_TRUE(Machine::validate(parse_spec("ccc:3/sweep"), error)) << error;
+
+  // Each family's last size under the node cap is accepted and its first
+  // size over it is rejected by the shape rule alone: validate() is
+  // arithmetic, so neither is built (star:10 would be 3.6M nodes,
+  // linear:4194305 a 4M-node array). The message is the builder's.
+  struct CapEdge {
+    const char* last_accepted;
+    const char* first_rejected;
+  };
+  const CapEdge edges[] = {
+      {"star:9/two-phase", "star:10/two-phase"},
+      {"hypercube:22/ecube", "hypercube:23/ecube"},
+      {"ccc:18/sweep", "ccc:19/sweep"},
+      {"linear:4194304/greedy", "linear:4194305/greedy"},
+      {"shuffle:22/two-phase", "shuffle:23/two-phase"},
+      {"shuffle:4x11/two-phase", "shuffle:4x12/two-phase"},
+      {"nshuffle:7/two-phase", "nshuffle:8/two-phase"},
+      {"butterfly:17/two-phase", "butterfly:18/two-phase"},
+      {"butterfly:4x9/two-phase", "butterfly:4x10/two-phase"},
+      {"mesh:2048/xy", "mesh:2049/xy"},
+      {"torus:2048/greedy", "torus:2049/greedy"},
+  };
+  for (const CapEdge& edge : edges) {
+    EXPECT_TRUE(Machine::validate(parse_spec(edge.last_accepted), error))
+        << edge.last_accepted << ": " << error;
+    const MachineSpec spec = parse_spec(edge.first_rejected);
+    EXPECT_FALSE(Machine::validate(spec, error)) << edge.first_rejected;
+    const std::string text = edge.first_rejected;
+    const std::size_t from = text.find(':') + 1;
+    const std::string params = text.substr(from, text.find('/') - from);
+    const std::string help(find_topology(spec.topology)->params_help);
+    EXPECT_EQ(error, "bad parameters for topology '" + spec.topology + "': " +
+                         params + " (expected " + help + ")");
+  }
+}
+
+/// `text` as a POSIX extended regex that matches it literally.
+std::string regex_literal(const std::string& text) {
+  std::string regex;
+  for (const char c : text) {
+    if (std::string_view("\\^$.|?*+()[]{}").find(c) !=
+        std::string_view::npos) {
+      regex += '\\';
+    }
+    regex += c;
+  }
+  return regex;
+}
+
+TEST(MachineValidate, ShapeRulesAgreeWithTheConstructors) {
+  // validate() decides legality from the catalogue alone; build() must
+  // construct every spec it accepts (no constructor CHECK may fire) and
+  // refuse every spec it rejects. The grid crosses each family's lower
+  // bounds in both parameters and gives every router a parameter once.
+  for (const TopologyInfo& info : topology_families()) {
+    std::size_t accepted = 0;
+    MachineSpec first_rejected;
+    std::string first_error;
+    for (const RouterInfo& router : info.routers) {
+      for (std::uint32_t p0 = 0; p0 <= 4; ++p0) {
+        for (std::uint32_t p1 = 0; p1 <= 3; ++p1) {
+          for (const std::uint32_t router_param : {0U, 2U}) {
+            MachineSpec spec;
+            spec.topology = std::string(info.key);
+            spec.router = std::string(router.key);
+            spec.param0 = p0;
+            spec.param1 = p1;
+            spec.router_param = router_param;
+            std::string error;
+            if (Machine::validate(spec, error)) {
+              ++accepted;
+              const Machine m = Machine::build(spec);
+              EXPECT_GT(m.processors(), 0U) << spec.to_string();
+              EXPECT_GT(m.route_scale(), 0U) << spec.to_string();
+              continue;
+            }
+            // The error-returning builders agree: a shape rejection is
+            // build_topology's, anything else is a router parameter the
+            // router does not take.
+            std::string build_error;
+            if (build_topology(spec, build_error) == nullptr) {
+              EXPECT_EQ(build_error, error) << spec.to_string();
+            } else {
+              EXPECT_TRUE(router_param != 0 && !router.takes_param)
+                  << spec.to_string();
+              EXPECT_EQ(error, "router '" + spec.router + "' of topology '" +
+                                   spec.topology +
+                                   "' takes no parameter (got ':2')");
+            }
+            if (first_error.empty()) {
+              first_rejected = spec;
+              first_error = error;
+            }
+          }
+        }
+      }
+    }
+    EXPECT_GT(accepted, 0U) << info.key;
+    ASSERT_FALSE(first_error.empty()) << info.key;
+    EXPECT_DEATH((void)Machine::build(first_rejected),
+                 regex_literal(first_error));
+  }
+  // The torus needs three rows and columns; two would abort its constructor.
+  std::string error;
+  EXPECT_FALSE(Machine::validate(parse_spec("torus:2/greedy"), error));
+  EXPECT_FALSE(Machine::validate(parse_spec("torus:3x2/greedy"), error));
+  EXPECT_TRUE(Machine::validate(parse_spec("torus:3/greedy"), error)) << error;
+  // The mesh's three-stage router is the one that takes a parameter.
+  EXPECT_TRUE(Machine::validate(parse_spec("mesh:4/three-stage:2"), error))
+      << error;
+  EXPECT_FALSE(Machine::validate(parse_spec("star:4/two-phase:7"), error));
+  EXPECT_EQ(error,
+            "router 'two-phase' of topology 'star' takes no parameter "
+            "(got ':7')");
 }
 
 // -------------------------------------------------------------- registry

@@ -284,6 +284,34 @@ TEST(ServeSessionTest, UnsatisfiableFaultQuotaIsAPerRequestError) {
   EXPECT_NE(lines[2].find("\"status\": \"stats\""), std::string::npos);
 }
 
+TEST(ServeSessionTest, BadShapeIsAPerRequestErrorAndTheStreamGoesOn) {
+  // A torus with a side of 2 is rejected while decoding — its constructor
+  // needs three rows and columns — so the request gets an error line and
+  // the next request is still served.
+  const std::string payload =
+      "{\"spec\": \"star:4/two-phase/erew/fifo\", \"id\": \"before\"}\n"
+      "{\"spec\": \"torus:2/greedy\", \"id\": \"torus\"}\n"
+      "{\"spec\": \"star:4/two-phase/erew/fifo\", \"id\": \"after\"}\n";
+  serve::SessionStats stats;
+  const std::string output = serve_text(payload, 8, 2, &stats);
+  EXPECT_EQ(stats.requests, 3U);
+  EXPECT_EQ(stats.errors, 1U);
+  EXPECT_EQ(stats.ok, 2U);
+  const std::vector<std::string> lines = split_lines(output);
+  ASSERT_EQ(lines.size(), 4U);
+  EXPECT_NE(lines[0].find("\"id\": \"before\", \"status\": \"ok\""),
+            std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[1].find("\"id\": \"torus\", \"status\": \"error\", "
+                          "\"error\": \"bad parameters for topology 'torus'"),
+            std::string::npos)
+      << lines[1];
+  EXPECT_NE(lines[2].find("\"id\": \"after\", \"status\": \"ok\""),
+            std::string::npos)
+      << lines[2];
+  EXPECT_NE(lines[3].find("\"status\": \"stats\""), std::string::npos);
+}
+
 TEST(ServeSessionTest, QueueDepthBoundsBatches) {
   std::ostringstream payload;
   for (int i = 0; i < 6; ++i) {
